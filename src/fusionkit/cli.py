@@ -17,6 +17,7 @@ import sys
 
 from .coefficients import (
     UnsupportedShape,
+    fusion_expand,
     fusion_oracle,
     fusion_rule,
     fusion_tableaux,
@@ -101,8 +102,6 @@ def _cmd_table(args) -> int:
     rows = []
     for la_size in range(0, args.max_size + 1):
         for la in restricted_partitions_of(la_size, ctx):
-            from .coefficients import fusion_expand
-
             for nu, value in sorted(fusion_expand(la, mu, ctx).items()):
                 rows.append(
                     {

@@ -21,12 +21,12 @@ from .partitions import (
     is_restricted,
     normalize,
     padded,
-    rank_level_dual,
+    partitions_of,
     restricted_partitions_of,
     restricted_supersets,
     sigma_dot,
 )
-from .paths import enumerate_paths, vertical_strips
+from .paths import enumerate_paths, strip_chains
 from .words import fits
 
 
@@ -83,28 +83,6 @@ def _is_lattice(word, m: int) -> bool:
     return True
 
 
-def _strip_chains(la, nu, sizes):
-    """Chains la -> nu through vertical strips of the given sizes.
-
-    Yields tuples of strips, each strip a tuple of boxes; equivalently the
-    row-strict fillings of nu/la whose i-entries form the i-th strip.
-    """
-    la, nu = normalize(la), normalize(nu)
-
-    def rec(i, shape, acc):
-        if i == len(sizes):
-            if normalize(shape) == nu:
-                yield tuple(acc)
-            return
-        for new_shape, boxes in vertical_strips(shape, sizes[i], within=nu):
-            acc.append(boxes)
-            yield from rec(i + 1, new_shape, acc)
-            acc.pop()
-
-    if contains(nu, la) and sum(sizes) == sum(nu) - sum(la):
-        yield from rec(0, tuple(la) + (0,) * (len(nu) - len(la)), [])
-
-
 def lr_lattice(la, mu, nu) -> int:
     """The same coefficient as the number of row-strict fillings of nu/la
     with content mu' whose column reading word is lattice."""
@@ -116,7 +94,7 @@ def lr_lattice(la, mu, nu) -> int:
     sizes = conjugate(mu)
     m = len(sizes)
     count = 0
-    for strips in _strip_chains(la, nu, sizes):
+    for strips in strip_chains(la, nu, sizes):
         entry = {}
         for i, strip in enumerate(strips, start=1):
             for box in strip:
@@ -155,36 +133,16 @@ def _pair_lattice(prev_strip, strip) -> bool:
 
 
 def _expand_all(la, nu, pair_ok) -> dict[tuple[int, ...], int]:
-    """Counts of fitting chains la -> nu grouped by shape mu.
-
-    Enumerates chains of vertical strips with weakly decreasing sizes,
-    pruning as soon as an adjacent pair fails ``pair_ok``.
-    """
+    """Counts of fitting chains la -> nu grouped by shape mu, keeping only
+    chains whose adjacent strips all pass ``pair_ok``."""
     la, nu = normalize(la), normalize(nu)
-    total = sum(nu) - sum(la)
     out: dict[tuple[int, ...], int] = {}
-    if not contains(nu, la):
-        return out
-    if total == 0:
-        out[()] = 1
-        return out
-
-    start = tuple(la) + (0,) * (len(nu) - len(la))
-
-    def rec(shape, prev_strip, prev_size, left, sizes):
-        if left == 0:
-            mu = conjugate(tuple(sizes))
-            out[mu] = out.get(mu, 0) + 1
-            return
-        for size in range(min(prev_size, left), 0, -1):
-            for new_shape, boxes in vertical_strips(shape, size, within=nu):
-                if prev_strip is not None and not pair_ok(prev_strip, boxes):
-                    continue
-                sizes.append(size)
-                rec(new_shape, boxes, size, left - size, sizes)
-                sizes.pop()
-
-    rec(start, None, total, total, [])
+    # a vertical strip has at most one box in each row of nu/la
+    rows = sum(1 for i, part in enumerate(nu) if i >= len(la) or la[i] < part)
+    for mu_conj in partitions_of(sum(nu) - sum(la), max_part=rows):
+        count = sum(1 for _ in strip_chains(la, nu, mu_conj, pair_ok=pair_ok))
+        if count:
+            out[conjugate(mu_conj)] = count
     return out
 
 
@@ -288,7 +246,7 @@ def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
         return 1 if la == nu else 0
     sizes = padded(conjugate(mu), 2)
     count = 0
-    for strips in _strip_chains(la, nu, sizes):
+    for strips in strip_chains(la, nu, sizes):
         entry = {}
         for i, strip in enumerate(strips, start=1):
             for box in strip:
@@ -361,61 +319,14 @@ def gepner_witten(la, mu, nu, k: int) -> int:
     return lr_paths(la, mu, nu) if k >= threshold else 0
 
 
-def duality_check(la, mu, nu, ctx: FusionContext) -> bool:
-    """Oracle invariance under the rank-level duality bijection."""
-    lhs = fusion_oracle(la, mu, nu, ctx)
-    dual = ctx.dual()
-    rhs = fusion_oracle(
-        rank_level_dual(la, ctx),
-        rank_level_dual(mu, ctx),
-        rank_level_dual(nu, ctx),
-        dual,
-    )
-    return lhs == rhs
-
-
-@lru_cache(maxsize=None)
-def restricted_standard_count(la, ctx: FusionContext) -> int:
-    """Number of single-box chains from the empty shape staying restricted."""
-    la = normalize(la)
-    if not is_restricted(la, ctx):
-        return 0
-    if not la:
-        return 1
-    total = 0
-    for i in range(len(la)):
-        if la[i] and (i + 1 == len(la) or la[i + 1] < la[i]):
-            prev = la[:i] + (la[i] - 1,) + la[i + 1 :]
-            total += restricted_standard_count(normalize(prev), ctx)
-    return total
-
-
-def count_restricted_paths(la, nu, ctx: FusionContext) -> int:
-    """Single-box chains la -> nu with every intermediate shape restricted."""
-    la, nu = normalize(la), normalize(nu)
-    if not (is_restricted(la, ctx) and is_restricted(nu, ctx) and contains(nu, la)):
-        return 0
-
-    @lru_cache(maxsize=None)
-    def walk(shape) -> int:
-        if shape == la:
-            return 1
-        total = 0
-        for i in range(len(shape)):
-            if shape[i] and (i + 1 == len(shape) or shape[i + 1] < shape[i]):
-                prev = normalize(shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
-                if contains(prev, la) and is_restricted(prev, ctx):
-                    total += walk(prev)
-        return total
-
-    return walk(nu)
-
-
-def count_paths(la, nu) -> int:
-    """All single-box chains la -> nu (no restriction)."""
+def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
+    """Single-box chains la -> nu; with a context, every shape on the chain
+    (la and nu included) must be restricted."""
     la, nu = normalize(la), normalize(nu)
     if not contains(nu, la):
         return 0
+    if ctx is not None and not (is_restricted(la, ctx) and is_restricted(nu, ctx)):
+        return 0
 
     @lru_cache(maxsize=None)
     def walk(shape) -> int:
@@ -425,27 +336,22 @@ def count_paths(la, nu) -> int:
         for i in range(len(shape)):
             if shape[i] and (i + 1 == len(shape) or shape[i + 1] < shape[i]):
                 prev = normalize(shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
-                if contains(prev, la):
+                if contains(prev, la) and (ctx is None or is_restricted(prev, ctx)):
                     total += walk(prev)
         return total
 
     return walk(nu)
-
-
-def standard_count(la) -> int:
-    """Number of standard tableaux of shape la."""
-    return count_paths((), la)
 
 
 def verify_restricted_path_identity(la, nu, ctx: FusionContext) -> bool:
     """Restricted path count equals the fusion-weighted sum of restricted
     standard-tableau counts over restricted shapes of the right size."""
     la, nu = normalize(la), normalize(nu)
-    lhs = count_restricted_paths(la, nu, ctx)
+    lhs = count_paths(la, nu, ctx)
     m = sum(nu) - sum(la)
     rhs = 0
     for mu in restricted_partitions_of(m, ctx):
         coeff = fusion_oracle(la, mu, nu, ctx)
         if coeff:
-            rhs += coeff * restricted_standard_count(mu, ctx)
+            rhs += coeff * count_paths((), mu, ctx)
     return lhs == rhs

@@ -43,10 +43,6 @@ def format_partition(p) -> str:
     return ",".join(str(x) for x in p) if p else "0"
 
 
-def size(p) -> int:
-    return sum(p)
-
-
 def padded(p, n: int) -> Partition:
     """The partition as exactly ``n`` parts (trailing zeros restored)."""
     p = normalize(p)

@@ -45,25 +45,15 @@ def addable_box(shape, diag: int) -> Box | None:
     return None
 
 
-def vertical_strips(shape, size: int, within=None, max_rows: int | None = None):
-    """All ways to add ``size`` boxes to ``shape``, no two in the same row.
+def vertical_strips(shape, size: int, within):
+    """All ways to add ``size`` boxes to ``shape`` inside ``within``, no two
+    in the same row.
 
     Yields (new_shape, boxes) with boxes in add order (labels strictly
-    decreasing, i.e. top row first).  ``within`` restricts to subdiagrams of
-    a target; ``max_rows`` caps the number of rows.
+    decreasing, i.e. top row first).
     """
     shape = tuple(shape)
-    if size < 0:
-        return
-    if size == 0:
-        if within is None or _fits_inside(shape, within):
-            yield shape, ()
-        return
-    nrows = len(shape) + size
-    if within is not None:
-        nrows = min(nrows, len(within))
-    if max_rows is not None:
-        nrows = min(nrows, max_rows)
+    nrows = min(len(shape) + size, len(within))
 
     def rec(row, left, current: list[int], rows_used: list[int]):
         if left == 0:
@@ -78,10 +68,7 @@ def vertical_strips(shape, size: int, within=None, max_rows: int | None = None):
         # place a box in this row
         col = (current[row - 1] if row <= len(current) else 0) + 1
         prev = current[row - 2] if 1 <= row - 1 <= len(current) else 0
-        ok = row == 1 or prev >= col
-        if ok and within is not None and (row > len(within) or within[row - 1] < col):
-            ok = False
-        if ok:
+        if (row == 1 or prev >= col) and within[row - 1] >= col:
             grown = current[:]
             if row > len(grown):
                 grown.append(0)
@@ -91,29 +78,6 @@ def vertical_strips(shape, size: int, within=None, max_rows: int | None = None):
             rows_used.pop()
 
     yield from rec(1, size, list(shape), [])
-
-
-def _fits_inside(shape, within) -> bool:
-    return all(
-        (shape[i] if i < len(shape) else 0) <= (within[i] if i < len(within) else 0)
-        for i in range(len(shape))
-    )
-
-
-def column_strip_targets(base, r: int, ctx: FusionContext | None = None) -> set[Partition]:
-    """Partitions reachable from ``base`` by adding an r-box vertical strip.
-
-    With a context, only restricted targets with at most n rows survive;
-    r > n then yields nothing since a strip needs r distinct rows.
-    """
-    base = normalize(base)
-    out: set[Partition] = set()
-    max_rows = ctx.n if ctx is not None else None
-    for target, _ in vertical_strips(base, r, max_rows=max_rows):
-        target = normalize(target)
-        if ctx is None or is_restricted(target, ctx):
-            out.add(target)
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,6 +180,46 @@ def path_from_label_blocks(base, label_blocks) -> LatticePath:
     return LatticePath(base, tuple(steps), tuple(len(b) for b in label_blocks))
 
 
+def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=None):
+    """Chains base -> target of vertical strips with the given sizes.
+
+    ``base`` and ``target`` are normalized partitions.  Yields tuples of
+    strips, each strip the tuple of its boxes in add order; equivalently the
+    row-strict fillings of target/base whose i-entries form the i-th strip.
+    A negative size, a weight mismatch or base not inside target yields
+    nothing.  With a context, the shapes at block boundaries (base and
+    target included) must all be restricted.  ``pair_ok(prev, strip)``
+    prunes a strip that fails against its predecessor.
+    """
+    if any(s < 0 for s in sizes) or sum(sizes) != sum(target) - sum(base):
+        return
+    # base inside target, compared directly: the inputs are already normalized
+    if len(base) > len(target) or any(b > t for b, t in zip(base, target)):
+        return
+    if ctx is not None and not (
+        is_restricted(base, ctx) and is_restricted(target, ctx)
+    ):
+        return
+    chain: list[tuple[Box, ...]] = []
+
+    # Every strip stays inside target and the weights match, so the last
+    # shape is target itself.
+    def rec(i, shape):
+        if i == len(sizes):
+            yield tuple(chain)
+            return
+        for new_shape, boxes in vertical_strips(shape, sizes[i], within=target):
+            if ctx is not None and not is_restricted(new_shape, ctx):
+                continue
+            if pair_ok is not None and chain and not pair_ok(chain[-1], boxes):
+                continue
+            chain.append(boxes)
+            yield from rec(i + 1, new_shape)
+            chain.pop()
+
+    yield from rec(0, base + (0,) * (len(target) - len(base)))
+
+
 @lru_cache(maxsize=None)
 def enumerate_paths(
     base,
@@ -229,37 +233,8 @@ def enumerate_paths(
     means the empty set.  With a context, the partitions at block boundaries
     (including base and target) must all be restricted.
     """
-    base = normalize(base)
-    target = normalize(target)
-    ascents = tuple(ascents)
-    if any(a < 0 for a in ascents):
-        return ()
-    if sum(ascents) != sum(target) - sum(base):
-        return ()
-    if not _fits_inside(base, target):
-        return ()
-    if ctx is not None and not (
-        is_restricted(base, ctx) and is_restricted(target, ctx)
-    ):
-        return ()
-
-    out: list[LatticePath] = []
-
-    def rec(i, shape, steps: list[Box]):
-        if i == len(ascents):
-            if normalize(shape) == target:
-                out.append(LatticePath(base, tuple(steps), ascents))
-            return
-        for new_shape, boxes in vertical_strips(shape, ascents[i], within=target):
-            if ctx is not None and not is_restricted(new_shape, ctx):
-                continue
-            steps.extend(boxes)
-            rec(i + 1, new_shape, steps)
-            del steps[len(steps) - len(boxes) :]
-
-    rec(0, padded_to_target(base, target), [])
-    return tuple(out)
-
-
-def padded_to_target(base, target) -> tuple[int, ...]:
-    return tuple(base) + (0,) * (len(target) - len(base))
+    base, target, ascents = normalize(base), normalize(target), tuple(ascents)
+    return tuple(
+        LatticePath(base, sum(chain, ()), ascents)
+        for chain in strip_chains(base, target, ascents, ctx)
+    )

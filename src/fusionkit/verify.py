@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coefficients import (
-    count_restricted_paths,
+    count_paths,
     fusion_oracle,
     fusion_rule,
     fusion_tableaux,
@@ -109,14 +109,42 @@ def _merge_check_lists(parts: list[list[CheckResult]]) -> list[CheckResult]:
     return [merged[name] for name in order]
 
 
-def _ctx_info(ctx: FusionContext, la, mu, nu) -> dict:
-    return {
-        "n": ctx.n,
-        "k": ctx.k,
+def _info(la, mu, nu, ctx: FusionContext | None = None) -> dict:
+    """Counterexample context of a triple; the keys also name the triple."""
+    info = {
         "lambda": format_partition(la),
         "mu": format_partition(mu),
         "nu": format_partition(nu),
     }
+    if ctx is not None:
+        info.update(n=ctx.n, k=ctx.k)
+    return info
+
+
+def _grid(n_max: int, k_max: int, bound: int) -> list[tuple[int, int, int]]:
+    """One work item per (n, k) with 2 <= n <= n_max and 1 <= k <= k_max."""
+    return [(n, k, bound) for n in range(2, n_max + 1) for k in range(1, k_max + 1)]
+
+
+def _shapes(ctx: FusionContext, size_max: int, max_cols: int | None = None):
+    """Nonempty restricted mu with |mu| <= size_max (and at most ``max_cols``
+    columns), listed deterministically."""
+    return [
+        mu
+        for total in range(1, size_max + 1)
+        for mu in restricted_partitions_of(total, ctx)
+        if max_cols is None or mu[0] <= max_cols
+    ]
+
+
+def _triples(ctx: FusionContext, mus, size_max: int):
+    """Restricted (la, mu, nu) with mu from ``mus``, nu/la of size |mu| and
+    |nu| <= size_max, in sweep order."""
+    for mu in mus:
+        for la_size in range(0, size_max - sum(mu) + 1):
+            for la in restricted_partitions_of(la_size, ctx):
+                for nu in restricted_supersets(la, sum(mu), ctx):
+                    yield la, mu, nu
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +165,7 @@ def classical_lr_checks(size_max: int) -> list[CheckResult]:
                 agree.record(
                     a == b,
                     check=agree.name,
-                    **{
-                        "lambda": format_partition(la),
-                        "mu": format_partition(mu),
-                        "nu": format_partition(nu),
-                    },
+                    **_info(la, mu, nu),
                     paths=a,
                     lattice=b,
                 )
@@ -168,7 +192,7 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
                 involution.record(
                     back == term,
                     check=involution.name,
-                    **_plain_info(la, mu, nu),
+                    **_info(la, mu, nu),
                     sigma=list(term.sigma),
                 )
                 if image == term:
@@ -177,32 +201,24 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
                         range(1, len(term.sigma) + 1)
                     ) and fits(term.path, mu)
                     fixed_points.record(
-                        ok, check=fixed_points.name, **_plain_info(la, mu, nu)
+                        ok, check=fixed_points.name, **_info(la, mu, nu)
                     )
                 else:
                     sign_flip.record(
                         image.sign == -term.sign,
                         check=sign_flip.name,
-                        **_plain_info(la, mu, nu),
+                        **_info(la, mu, nu),
                     )
             expected = lr_paths(la, mu, nu)
             signed_sum.record(
                 total == expected and fixed == expected,
                 check=signed_sum.name,
-                **_plain_info(la, mu, nu),
+                **_info(la, mu, nu),
                 signed=total,
                 fixed=fixed,
                 lr=expected,
             )
     return [involution, sign_flip, fixed_points, signed_sum]
-
-
-def _plain_info(la, mu, nu) -> dict:
-    return {
-        "lambda": format_partition(la),
-        "mu": format_partition(mu),
-        "nu": format_partition(nu),
-    }
 
 
 def classical_involution_checks(size_max: int, jobs: int = 1) -> list[CheckResult]:
@@ -213,16 +229,6 @@ def classical_involution_checks(size_max: int, jobs: int = 1) -> list[CheckResul
 
 # ---------------------------------------------------------------------------
 # fusion sweeps
-
-def _two_column_shapes(ctx: FusionContext, max_size: int):
-    """Restricted mu with at most two columns, listed deterministically."""
-    out = []
-    for total in range(1, max_size + 1):
-        for mu in restricted_partitions_of(total, ctx):
-            if mu and mu[0] <= 2:
-                out.append(mu)
-    return out
-
 
 def _fusion_chunk(args) -> list[CheckResult]:
     n, k, size_max = args
@@ -251,83 +257,80 @@ def _fusion_chunk(args) -> list[CheckResult]:
         big_level,
         vacuous,
     ]
-    for mu in _two_column_shapes(ctx, size_max):
-        for la_size in range(0, size_max - sum(mu) + 1):
-            for la in restricted_partitions_of(la_size, ctx):
-                for nu in restricted_supersets(la, sum(mu), ctx):
-                    info = _ctx_info(ctx, la, mu, nu)
-                    oracle = fusion_oracle(la, mu, nu, ctx)
-                    rule = fusion_rule(la, mu, nu, ctx)
-                    rule_eq.record(
-                        rule == oracle, check=rule_eq.name, **info,
-                        rule=rule, oracle=oracle,
-                    )
-                    tab = fusion_tableaux(la, mu, nu, ctx)
-                    tableaux_eq.record(
-                        tab == rule, check=tableaux_eq.name, **info,
-                        tableaux=tab, rule=rule,
-                    )
-                    classical = lr_paths(la, mu, nu)
-                    bound.record(
-                        oracle <= classical, check=bound.name, **info,
-                        oracle=oracle, classical=classical,
-                    )
-                    if k >= sum(la) + sum(mu):
-                        big_level.record(
-                            oracle == classical, check=big_level.name, **info,
-                            oracle=oracle, classical=classical,
-                        )
-                    unrestricted = list(omega_terms(la, mu, nu))
-                    if all(
-                        all(is_restricted(s, ctx) for s in boundary_shapes(t.path))
-                        for t in unrestricted
-                    ):
-                        vacuous.record(
-                            oracle == classical, check=vacuous.name, **info,
-                            oracle=oracle, classical=classical,
-                        )
-                    if mu[0] != 2 or len(mu) == ctx.n:
-                        continue  # the involution acts on genuinely two-column shapes below n rows
-                    fixed = 0
-                    for term in _omega_k_terms(la, mu, nu, ctx):
-                        image = phi(term, ctx, mu)
-                        if image == term:
-                            fixed += 1
-                        else:
-                            sign_flip.record(
-                                image.sign == -term.sign,
-                                check=sign_flip.name, **info,
-                            )
-                        involution.record(
-                            phi(image, ctx, mu) == term,
-                            check=involution.name, **info,
-                            sigma=list(term.sigma),
-                        )
-                        path = term.path
-                        if path.ascents[0] < path.ascents[1] and in_D1(path, ctx):
-                            img = phi1(path, ctx)
-                            image_d2.record(
-                                in_D2(img, ctx).is_member,
-                                check=image_d2.name, **info,
-                            )
-                            round_trip_1.record(
-                                phi2(img, ctx) == path,
-                                check=round_trip_1.name, **info,
-                            )
-                        if (
-                            path.ascents[0] >= path.ascents[1]
-                            and fits(path, mu)
-                            and in_D2(path, ctx).is_member
-                        ):
-                            img = phi2(path, ctx)
-                            round_trip_2.record(
-                                in_D1(img, ctx) and phi1(img, ctx) == path,
-                                check=round_trip_2.name, **info,
-                            )
-                    fixed_eq.record(
-                        fixed == oracle, check=fixed_eq.name, **info,
-                        fixed=fixed, oracle=oracle,
-                    )
+    for la, mu, nu in _triples(ctx, _shapes(ctx, size_max, 2), size_max):
+        info = _info(la, mu, nu, ctx)
+        oracle = fusion_oracle(la, mu, nu, ctx)
+        rule = fusion_rule(la, mu, nu, ctx)
+        rule_eq.record(
+            rule == oracle, check=rule_eq.name, **info,
+            rule=rule, oracle=oracle,
+        )
+        tab = fusion_tableaux(la, mu, nu, ctx)
+        tableaux_eq.record(
+            tab == rule, check=tableaux_eq.name, **info,
+            tableaux=tab, rule=rule,
+        )
+        classical = lr_paths(la, mu, nu)
+        bound.record(
+            oracle <= classical, check=bound.name, **info,
+            oracle=oracle, classical=classical,
+        )
+        if k >= sum(la) + sum(mu):
+            big_level.record(
+                oracle == classical, check=big_level.name, **info,
+                oracle=oracle, classical=classical,
+            )
+        unrestricted = list(omega_terms(la, mu, nu))
+        if all(
+            all(is_restricted(s, ctx) for s in boundary_shapes(t.path))
+            for t in unrestricted
+        ):
+            vacuous.record(
+                oracle == classical, check=vacuous.name, **info,
+                oracle=oracle, classical=classical,
+            )
+        if mu[0] != 2 or len(mu) == ctx.n:
+            continue  # the involution acts on genuinely two-column shapes below n rows
+        fixed = 0
+        for term in _omega_k_terms(la, mu, nu, ctx):
+            image = phi(term, ctx, mu)
+            if image == term:
+                fixed += 1
+            else:
+                sign_flip.record(
+                    image.sign == -term.sign,
+                    check=sign_flip.name, **info,
+                )
+            involution.record(
+                phi(image, ctx, mu) == term,
+                check=involution.name, **info,
+                sigma=list(term.sigma),
+            )
+            path = term.path
+            if path.ascents[0] < path.ascents[1] and in_D1(path, ctx):
+                img = phi1(path, ctx)
+                image_d2.record(
+                    in_D2(img, ctx).is_member,
+                    check=image_d2.name, **info,
+                )
+                round_trip_1.record(
+                    phi2(img, ctx) == path,
+                    check=round_trip_1.name, **info,
+                )
+            if (
+                path.ascents[0] >= path.ascents[1]
+                and fits(path, mu)
+                and in_D2(path, ctx).is_member
+            ):
+                img = phi2(path, ctx)
+                round_trip_2.record(
+                    in_D1(img, ctx) and phi1(img, ctx) == path,
+                    check=round_trip_2.name, **info,
+                )
+        fixed_eq.record(
+            fixed == oracle, check=fixed_eq.name, **info,
+            fixed=fixed, oracle=oracle,
+        )
     return checks
 
 
@@ -344,8 +347,7 @@ def _omega_k_terms(la, mu, nu, ctx: FusionContext):
 def fusion_involution_checks(
     n_max: int, k_max: int, size_max: int, jobs: int = 1
 ) -> list[CheckResult]:
-    work = [(n, k, size_max) for n in range(2, n_max + 1) for k in range(1, k_max + 1)]
-    return _run_chunks(_fusion_chunk, work, jobs)
+    return _run_chunks(_fusion_chunk, _grid(n_max, k_max, size_max), jobs)
 
 
 def _monotone_chunk(args) -> list[CheckResult]:
@@ -353,26 +355,22 @@ def _monotone_chunk(args) -> list[CheckResult]:
     ctx = FusionContext(n, k)
     up = FusionContext(n, k + 1)
     monotone = CheckResult("fusion_monotone_in_level")
-    for mu in _two_column_shapes(ctx, size_max):
-        for la_size in range(0, size_max - sum(mu) + 1):
-            for la in restricted_partitions_of(la_size, ctx):
-                for nu in restricted_supersets(la, sum(mu), ctx):
-                    low = fusion_oracle(la, mu, nu, ctx)
-                    high = fusion_oracle(la, mu, nu, up)
-                    monotone.record(
-                        low <= high,
-                        check=monotone.name,
-                        **_ctx_info(ctx, la, mu, nu),
-                        at_level=low,
-                        at_next_level=high,
-                    )
+    for la, mu, nu in _triples(ctx, _shapes(ctx, size_max, 2), size_max):
+        low = fusion_oracle(la, mu, nu, ctx)
+        high = fusion_oracle(la, mu, nu, up)
+        monotone.record(
+            low <= high,
+            check=monotone.name,
+            **_info(la, mu, nu, ctx),
+            at_level=low,
+            at_next_level=high,
+        )
     return [monotone]
 
 
 def monotone_checks(n_max: int, k_max: int, size_max: int, jobs: int = 1) -> list[CheckResult]:
     """One- and two-column shapes: the coefficient never drops as k grows."""
-    work = [(n, k, size_max) for n in range(2, n_max + 1) for k in range(1, k_max + 1)]
-    return _run_chunks(_monotone_chunk, work, jobs)
+    return _run_chunks(_monotone_chunk, _grid(n_max, k_max, size_max), jobs)
 
 
 def _duality_chunk(args) -> list[CheckResult]:
@@ -380,37 +378,34 @@ def _duality_chunk(args) -> list[CheckResult]:
     ctx = FusionContext(n, k)
     invariance = CheckResult("duality_invariance")
     dual_conjugate = CheckResult("dual_of_low_shape_is_conjugate")
-    for mu_size in range(1, size_max + 1):
-        for mu in restricted_partitions_of(mu_size, ctx):
-            if n >= 3 and len(mu) <= 2:
-                dual_conjugate.record(
-                    rank_level_dual(mu, ctx) == conjugate(mu),
-                    check=dual_conjugate.name,
-                    **_ctx_info(ctx, (), mu, ()),
-                )
-            for la_size in range(0, size_max - mu_size + 1):
-                for la in restricted_partitions_of(la_size, ctx):
-                    for nu in restricted_supersets(la, mu_size, ctx):
-                        lhs = fusion_oracle(la, mu, nu, ctx)
-                        rhs = fusion_oracle(
-                            rank_level_dual(la, ctx),
-                            rank_level_dual(mu, ctx),
-                            rank_level_dual(nu, ctx),
-                            ctx.dual(),
-                        )
-                        invariance.record(
-                            lhs == rhs,
-                            check=invariance.name,
-                            **_ctx_info(ctx, la, mu, nu),
-                            value=lhs,
-                            dual_value=rhs,
-                        )
+    mus = _shapes(ctx, size_max)
+    for mu in mus:
+        if n >= 3 and len(mu) <= 2:
+            dual_conjugate.record(
+                rank_level_dual(mu, ctx) == conjugate(mu),
+                check=dual_conjugate.name,
+                **_info((), mu, (), ctx),
+            )
+    for la, mu, nu in _triples(ctx, mus, size_max):
+        lhs = fusion_oracle(la, mu, nu, ctx)
+        rhs = fusion_oracle(
+            rank_level_dual(la, ctx),
+            rank_level_dual(mu, ctx),
+            rank_level_dual(nu, ctx),
+            ctx.dual(),
+        )
+        invariance.record(
+            lhs == rhs,
+            check=invariance.name,
+            **_info(la, mu, nu, ctx),
+            value=lhs,
+            dual_value=rhs,
+        )
     return [invariance, dual_conjugate]
 
 
 def duality_checks(n_max: int, k_max: int, size_max: int, jobs: int = 1) -> list[CheckResult]:
-    work = [(n, k, size_max) for n in range(2, n_max + 1) for k in range(1, k_max + 1)]
-    return _run_chunks(_duality_chunk, work, jobs)
+    return _run_chunks(_duality_chunk, _grid(n_max, k_max, size_max), jobs)
 
 
 def _identity_chunk(args) -> list[CheckResult]:
@@ -423,8 +418,8 @@ def _identity_chunk(args) -> list[CheckResult]:
                 identity.record(
                     verify_restricted_path_identity(la, nu, ctx),
                     check=identity.name,
-                    **_ctx_info(ctx, la, (), nu),
-                    lhs=count_restricted_paths(la, nu, ctx),
+                    **_info(la, (), nu, ctx),
+                    lhs=count_paths(la, nu, ctx),
                 )
     return [identity]
 
@@ -440,8 +435,7 @@ def _base_shapes(ctx: FusionContext):
 
 
 def path_identity_checks(n_max: int, k_max: int, skew_max: int, jobs: int = 1) -> list[CheckResult]:
-    work = [(n, k, skew_max) for n in range(2, n_max + 1) for k in range(1, k_max + 1)]
-    return _run_chunks(_identity_chunk, work, jobs)
+    return _run_chunks(_identity_chunk, _grid(n_max, k_max, skew_max), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +468,7 @@ def gepner_witten_comparison(k_max: int = 6, size_max: int = 10):
                             continue
                         oracle = fusion_oracle(la, mu, nu, ctx)
                         printed = gepner_witten(la, mu, nu, k)
-                        classical = lr_paths(la, mu, nu)
-                        spans = sum(
-                            (p[0] if p else 0) - (p[1] if len(p) > 1 else 0)
-                            for p in (la, mu, nu)
-                        )
-                        doubled = classical if 2 * k >= spans else 0
+                        doubled = gepner_witten(la, mu, nu, 2 * k)
                         stats["triples"] += 1
                         if printed == oracle:
                             stats["printed_agrees"] += 1

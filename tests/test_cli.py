@@ -95,19 +95,44 @@ def test_table_csv_and_empty(capsys):
     assert lines[1:] == ["0,1,1,2,1,1"]
 
 
+# Every check counts something at these bounds; the counts pin what the
+# sweeps certify, so a refactor of the sweeps must leave them unchanged.
+SMOKE_COUNTS = [
+    ("lr_paths_equals_lr_lattice", 130),
+    ("psi_squared_identity", 606),
+    ("psi_reverses_sign", 494),
+    ("psi_fixed_points_are_fitting", 112),
+    ("signed_sum_equals_fitting_count", 247),
+    ("phi_squared_identity", 61),
+    ("phi_reverses_sign", 42),
+    ("phi1_image_in_D2", 3),
+    ("phi2_after_phi1_identity", 3),
+    ("phi1_after_phi2_identity", 3),
+    ("fixed_points_equal_oracle", 32),
+    ("rule_equals_oracle", 124),
+    ("tableaux_equal_rule", 124),
+    ("fusion_at_most_classical", 124),
+    ("fusion_equals_classical_at_big_level", 16),
+    ("fusion_equals_classical_when_unobstructed", 121),
+    ("fusion_monotone_in_level", 124),
+    ("duality_invariance", 131),
+    ("dual_of_low_shape_is_conjugate", 7),
+    ("restricted_path_identity", 118),
+    ("gepner_witten_comparison_report", 489),
+]
+
+
 def test_verify_smoke_all(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--suite", "all", "--n-max", "2", "--k-max", "2",
-        "--size-max", "4", "--jobs", "1",
+        capsys, "verify", "--suite", "all", "--n-max", "3", "--k-max", "2",
+        "--size-max", "5", "--jobs", "1",
     )
     assert code == 0
     report = json.loads(out)
     assert report["schema"] == "fusionkit.report/1"
     assert report["ok"] is True
     assert report["wall_time_s"] < 5
-    names = {c["name"] for c in report["checks"]}
-    assert "phi_squared_identity" in names
-    assert "fusion_monotone_in_level" in names
+    assert [(c["name"], c["checked"]) for c in report["checks"]] == SMOKE_COUNTS
 
 
 @pytest.mark.parametrize("suite", ["involution", "monotone", "duality", "paths-identity", "gepner-witten"])

@@ -3,8 +3,6 @@ import pytest
 from fusionkit.coefficients import (
     UnsupportedShape,
     count_paths,
-    count_restricted_paths,
-    duality_check,
     fusion_expand,
     fusion_oracle,
     fusion_rule,
@@ -15,18 +13,18 @@ from fusionkit.coefficients import (
     lr_expand_paths,
     lr_lattice,
     lr_paths,
-    restricted_standard_count,
-    standard_count,
     verify_restricted_path_identity,
 )
 from fusionkit.partitions import (
     FusionContext,
     partitions_of,
     partitions_up_to,
+    rank_level_dual,
     restricted_partitions_of,
     restricted_supersets,
     subpartitions,
 )
+from fusionkit.paths import enumerate_paths
 
 CTX32 = FusionContext(3, 2)
 
@@ -113,34 +111,49 @@ def test_gepner_witten_formula():
 
 
 def test_duality_spot_checks():
-    assert duality_check((2, 1), (2, 1), (3, 2, 1), CTX32)
-    assert duality_check((2, 1), (2, 1), (2, 2, 2), CTX32)
+    def invariant(la, mu, nu, ctx):
+        dual = [rank_level_dual(p, ctx) for p in (la, mu, nu)]
+        return fusion_oracle(la, mu, nu, ctx) == fusion_oracle(*dual, ctx.dual())
+
+    assert invariant((2, 1), (2, 1), (3, 2, 1), CTX32)
+    assert invariant((2, 1), (2, 1), (2, 2, 2), CTX32)
     # large level: plain conjugation symmetry of the classical numbers
     big = FusionContext(3, 8)
-    assert duality_check((2, 1), (2, 1), (3, 2, 1), big)
+    assert invariant((2, 1), (2, 1), (3, 2, 1), big)
 
 
 def test_restricted_standard_counts():
-    assert restricted_standard_count((1,), CTX32) == 1
-    assert restricted_standard_count((2, 1), CTX32) == 2
-    assert restricted_standard_count((2, 1), FusionContext(4, 3)) == 2
-    assert restricted_standard_count((2, 1), FusionContext(2, 1)) == 1
-    assert restricted_standard_count((), CTX32) == 1
+    assert count_paths((), (1,), CTX32) == 1
+    assert count_paths((), (2, 1), CTX32) == 2
+    assert count_paths((), (2, 1), FusionContext(4, 3)) == 2
+    assert count_paths((), (2, 1), FusionContext(2, 1)) == 1
+    assert count_paths((), (), CTX32) == 1
 
 
 def test_standard_count_matches_restricted_at_big_level():
     big = FusionContext(6, 12)
     for la in partitions_up_to(6, max_len=5):
-        assert restricted_standard_count(la, big) == standard_count(la)
+        assert count_paths((), la, big) == count_paths((), la)
 
 
 def test_count_restricted_paths():
     ctx = FusionContext(2, 1)
-    assert count_restricted_paths((1,), (2, 1), ctx) == 1
-    assert count_restricted_paths((2, 1), (2, 1), ctx) == 1
-    assert count_restricted_paths((1,), (2, 1), FusionContext(3, 3)) == 2
+    assert count_paths((1,), (2, 1), ctx) == 1
+    assert count_paths((2, 1), (2, 1), ctx) == 1
+    assert count_paths((1,), (2, 1), FusionContext(3, 3)) == 2
     # endpoints must be restricted
-    assert count_restricted_paths((1,), (3, 1), FusionContext(2, 1)) == 0
+    assert count_paths((1,), (3, 1), FusionContext(2, 1)) == 0
+
+
+def test_single_box_paths_match_count_paths():
+    # with one-box blocks every intermediate shape is a block boundary, so
+    # the strip enumerator and the memoised walk count the same chains
+    for ctx in (None, FusionContext(2, 1), CTX32, FusionContext(4, 3)):
+        for nu in partitions_up_to(7):
+            for la in subpartitions(nu):
+                ones = (1,) * (sum(nu) - sum(la))
+                paths = enumerate_paths(la, nu, ones, ctx)
+                assert len(paths) == count_paths(la, nu, ctx), (la, nu, ctx)
 
 
 def test_restricted_path_identity_spots():
@@ -160,10 +173,10 @@ def test_classical_path_identity_at_big_level():
                     continue
                 lhs = count_paths(la, nu)
                 rhs = sum(
-                    lr_paths(la, mu, nu) * standard_count(mu)
+                    lr_paths(la, mu, nu) * count_paths((), mu)
                     for mu in partitions_of(extra)
                 )
-                assert lhs == rhs == count_restricted_paths(la, nu, big)
+                assert lhs == rhs == count_paths(la, nu, big)
 
 
 def test_oracle_never_negative_small_sweep():

@@ -5,7 +5,6 @@ from fusionkit.paths import (
     LatticePath,
     block_has_bot,
     block_has_top,
-    column_strip_targets,
     diagonal_label,
     enumerate_paths,
     path_from_label_blocks,
@@ -17,19 +16,6 @@ def test_diagonal_label():
     assert diagonal_label((1, 1)) == 0
     assert diagonal_label((1, 4)) == 3
     assert diagonal_label((3, 1)) == -2
-
-
-def test_column_strip_targets():
-    assert column_strip_targets((1,), 1) == {(2,), (1, 1)}
-    assert column_strip_targets((1,), 1, FusionContext(2, 1)) == {(1, 1)}
-    # in a three-row universe exactly two shapes remain
-    assert column_strip_targets((1, 1), 2, FusionContext(3, 2)) == {(2, 2), (2, 1, 1)}
-    assert column_strip_targets((1, 1), 2) == {(2, 2), (2, 1, 1), (1, 1, 1, 1)}
-
-
-def test_column_strip_targets_overflow():
-    ctx = FusionContext(3, 2)
-    assert column_strip_targets((1,), 4, ctx) == set()
 
 
 def test_enumerate_paths_basic():
@@ -51,6 +37,8 @@ def test_enumerate_paths_respects_all_boundaries():
 
 def test_enumerate_paths_negative_ascent():
     assert enumerate_paths((1,), (2, 1), (-1, 3)) == ()
+    # equal weights but base not inside target: still nothing
+    assert enumerate_paths((2,), (1, 1), (0,)) == ()
 
 
 def test_path_to_tableau():
