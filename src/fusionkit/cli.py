@@ -1,9 +1,9 @@
 """Command-line surface: coefficient queries, tables, verification sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 unsupported shape.  Output is deterministic byte-for-byte for fixed
-arguments.  Set FUSIONKIT_TRACE=1 to stream bracket words of every
-involution step to stderr.
+3 unsupported shape, 4 internal invariant breach (a bug).  Output is
+deterministic byte-for-byte for fixed arguments.  Set FUSIONKIT_TRACE=1
+to stream bracket words of every involution step to stderr.
 """
 
 from __future__ import annotations
@@ -34,13 +34,15 @@ from .partitions import (
     restricted_partitions_of,
 )
 from .paths import enumerate_paths
-from .verify import SUITES, run_suite
 from .words import pair_word, render
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
+# verify.run_suite's suites, named here so that queries need not import verify
+SUITES = ("involution", "monotone", "duality", "paths-identity", "gepner-witten", "all")
 
 
 class _InputError(Exception):
@@ -126,6 +128,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     report = run_suite(
         args.suite,
@@ -195,6 +199,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

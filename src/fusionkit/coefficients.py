@@ -1,10 +1,11 @@
 """Counting functions: classical Littlewood-Richardson and level-k fusion.
 
 All coefficients are computed exactly by exhaustive enumeration at desk
-scale.  ``fusion_oracle`` (the signed sum over permuted ascents) is the
-ground truth; ``fusion_rule`` (path counting with the level correction)
-and ``fusion_tableaux`` (skew fillings with a lattice word) are the fast
-routes it certifies.
+scale.  ``fusion_oracle`` (the signed sum over permuted ascents, built
+only where they are nonnegative) is the ground truth; ``fusion_rule``
+(path counting with the level correction) and ``fusion_tableaux`` (skew
+fillings with a lattice word) are the fast routes it certifies.
+``fusion_expand``, behind every table, takes that sum for all nu at once.
 """
 
 from __future__ import annotations
@@ -14,19 +15,18 @@ from functools import lru_cache
 from .involutions import SignedTerm, in_D2
 from .partitions import (
     FusionContext,
-    all_permutations,
     conjugate,
     contains,
     is_edge,
     is_restricted,
+    nonneg_compositions,
     normalize,
     padded,
     partitions_of,
+    perm_sign,
     restricted_partitions_of,
-    restricted_supersets,
-    sigma_dot,
 )
-from .paths import enumerate_paths, strip_chains
+from .paths import enumerate_paths, strip_chain_counts, strip_chains
 from .words import fits
 
 
@@ -42,18 +42,14 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
     """Signed terms (sigma, path): paths la -> nu with ascents sigma . mu'.
 
     With a context, only paths whose block boundaries are restricted
-    appear.  Permutations whose composition has a negative entry
-    contribute nothing.
+    appear.  Only permutations whose composition lies in 0..len(nu) are
+    visited: any other has a negative block or one no vertical strip into
+    nu can fill.
     """
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    m = mu[0] if mu else 0
-    if m == 0:
+    if not mu:
         return
-    mu_conj = conjugate(mu)
-    for sigma in all_permutations(m):
-        comp = sigma_dot(sigma, mu_conj, m)
-        if any(c < 0 for c in comp):
-            continue
+    for sigma, comp in nonneg_compositions(conjugate(mu), len(nu)):
         for path in enumerate_paths(la, nu, comp, ctx):
             yield SignedTerm(sigma, path)
 
@@ -158,16 +154,7 @@ def lr_expand_lattice(la, nu) -> dict[tuple[int, ...], int]:
 
 def fusion_single_column(la, r: int, nu, ctx: FusionContext) -> int:
     """1 when nu/la is an r-box vertical strip and nu is restricted."""
-    la, nu = normalize(la), normalize(nu)
-    if r < 0 or not is_restricted(la, ctx) or not is_restricted(nu, ctx):
-        return 0
-    if sum(nu) - sum(la) != r or not contains(nu, la):
-        return 0
-    full_nu = nu + (0,) * (len(la) - len(nu))
-    full_la = la + (0,) * (len(nu) - len(la))
-    if any(a - b > 1 for a, b in zip(full_nu, full_la)):
-        return 0
-    return 1
+    return sum(1 for _ in strip_chains(normalize(la), normalize(nu), (r,), ctx))
 
 
 def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
@@ -298,19 +285,31 @@ def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:
 
 
 def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
-    """All nonzero level-k coefficients of s_la s_mu, keyed by nu."""
+    """All nonzero level-k coefficients of s_la s_mu, keyed by nu: the
+    oracle's signed sum for every nu at once, counting each permutation's
+    restricted strip chains from la by endpoint."""
     la, mu = normalize(la), normalize(mu)
-    out: dict[tuple[int, ...], int] = {}
-    for nu in restricted_supersets(la, sum(mu), ctx):
-        value = fusion_oracle(la, mu, nu, ctx)
-        if value:
-            out[nu] = value
-    return out
+    if not is_restricted(mu, ctx):
+        return {}
+    totals = {}
+    for sigma, comp in nonneg_compositions(conjugate(mu), ctx.n):
+        sign = perm_sign(sigma)
+        for nu, count in strip_chain_counts(la, comp, ctx).items():
+            totals[nu] = totals.get(nu, 0) + sign * count
+    if any(value < 0 for value in totals.values()):
+        raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
+    return {nu: value for nu, value in totals.items() if value}
 
 
 def gepner_witten(la, mu, nu, k: int) -> int:
-    """Two-row closed form: the classical coefficient when the level clears
-    the sum of the three row differences, else zero."""
+    """Two-row closed form: the classical coefficient when twice the level
+    clears the sum of the three row differences, else zero."""
+    return _gepner_witten_printed(la, mu, nu, 2 * k)
+
+
+def _gepner_witten_printed(la, mu, nu, k: int) -> int:
+    """The closed form with its threshold as printed, k in place of 2k;
+    the oracle refutes it (see reports/gepner_witten_n2.md)."""
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     for p in (la, mu, nu):
         if len(p) > 2:

@@ -8,7 +8,6 @@ Trailing zeros carry no meaning; every function normalizes them away, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 Partition = tuple[int, ...]
 
@@ -171,9 +170,26 @@ def perm_sign(sigma) -> int:
     return -1 if inversions % 2 else 1
 
 
-def all_permutations(m: int):
-    """One-line permutations of {1..m}."""
-    return permutations(range(1, m + 1))
+def nonneg_compositions(mu_conj, cap: int):
+    """The pairs (sigma, sigma_dot(sigma, mu_conj, m)), m = len(mu_conj),
+    whose entries all lie in 0..cap.  Backtracks on sigma^-1, so that no
+    other permutation is built."""
+    m = len(mu_conj)
+    v = [m - 1 - j + c for j, c in enumerate(mu_conj)]  # rho + mu'
+    sigma, comp = [0] * m, [0] * m
+
+    def rec(i):
+        if i == m:
+            yield tuple(sigma), tuple(comp)
+            return
+        for j in range(m):
+            entry = v[j] - (m - 1 - i)
+            if not sigma[j] and 0 <= entry <= cap:
+                sigma[j], comp[i] = i + 1, entry
+                yield from rec(i + 1)
+                sigma[j] = 0
+
+    yield from rec(0)
 
 
 def partitions_of(total: int, max_part: int | None = None, max_len: int | None = None):

@@ -220,6 +220,25 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
     yield from rec(0, base + (0,) * (len(target) - len(base)))
 
 
+def strip_chain_counts(base, sizes, ctx: FusionContext) -> dict[Partition, int]:
+    """Chains of vertical strips with the given sizes from the normalized
+    ``base``, counted by last shape; every block boundary is restricted."""
+    if any(s < 0 for s in sizes) or not is_restricted(base, ctx):
+        return {}
+    # no strip can outgrow these columns, so only the n rows bound a shape
+    within = ((base[0] if base else 0) + sum(sizes),) * ctx.n
+    frontier = {base + (0,) * (ctx.n - len(base)): 1}
+    for size in sizes:
+        grown: dict[Partition, int] = {}
+        for shape, count in frontier.items():
+            for new_shape, _ in vertical_strips(shape, size, within):
+                # every shape keeps all n rows: its span is first minus last
+                if new_shape[0] - new_shape[-1] <= ctx.k:
+                    grown[new_shape] = grown.get(new_shape, 0) + count
+        frontier = grown
+    return {normalize(shape): count for shape, count in frontier.items()}
+
+
 @lru_cache(maxsize=None)
 def enumerate_paths(
     base,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coefficients import (
+    _gepner_witten_printed,
     count_paths,
     fusion_oracle,
     fusion_rule,
@@ -467,8 +467,8 @@ def gepner_witten_comparison(k_max: int = 6, size_max: int = 10):
                         if not is_restricted(mu, ctx):
                             continue
                         oracle = fusion_oracle(la, mu, nu, ctx)
-                        printed = gepner_witten(la, mu, nu, k)
-                        doubled = gepner_witten(la, mu, nu, 2 * k)
+                        printed = _gepner_witten_printed(la, mu, nu, k)
+                        doubled = gepner_witten(la, mu, nu, k)
                         stats["triples"] += 1
                         if printed == oracle:
                             stats["printed_agrees"] += 1
@@ -552,13 +552,12 @@ def gepner_witten_checks(k_max: int = 6, size_max: int = 10) -> list[CheckResult
 # ---------------------------------------------------------------------------
 # suite runner
 
-SUITES = ("involution", "monotone", "duality", "paths-identity", "gepner-witten", "all")
-
-
 def _run_chunks(fn, work, jobs: int) -> list[CheckResult]:
     if jobs <= 1 or len(work) <= 1:
         parts = [fn(item) for item in work]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costly to import
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             parts = list(pool.map(fn, work))
     return _merge_check_lists(parts)
@@ -588,7 +587,7 @@ def run_suite(
     if suite in ("gepner-witten", "all"):
         checks += gepner_witten_checks(k_max=max(k_max, 4), size_max=min(size_max + 2, 10))
     if not checks:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise ValueError(f"unknown suite {suite!r}")
     return Report(
         suite=suite,
         params={"n_max": n_max, "k_max": k_max, "size_max": size_max, "jobs": jobs},

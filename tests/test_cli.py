@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from fusionkit import cli
 from fusionkit.cli import main
 
 
@@ -82,6 +87,28 @@ def test_table_json_and_determinism(capsys):
             {"lambda": "1,1", "mu": "1", "nu": "2,1", "n": 2, "k": 1, "N": 1},
         ]
     }
+
+
+def test_queries_do_not_import_the_sweeps():
+    # a fresh interpreter that imports the same fusionkit as this one
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = "import sys, fusionkit.cli; print('fusionkit.verify' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(la, mu, ctx):
+        raise RuntimeError("negative fusion coefficient")
+
+    monkeypatch.setattr(cli, "fusion_expand", broken)
+    code, out, err = run_cli(capsys, "table", "--n", "2", "--k", "1", "--mu", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: negative fusion coefficient\n"
 
 
 def test_table_csv_and_empty(capsys):

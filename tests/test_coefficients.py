@@ -17,6 +17,7 @@ from fusionkit.coefficients import (
 )
 from fusionkit.partitions import (
     FusionContext,
+    is_restricted,
     partitions_of,
     partitions_up_to,
     rank_level_dual,
@@ -104,10 +105,51 @@ def test_full_height_shape_counts_every_path():
 
 
 def test_gepner_witten_formula():
-    assert gepner_witten((1,), (1,), (2,), 4) == 1
-    assert gepner_witten((1,), (1,), (2,), 3) == 0
+    # row differences 1 + 1 + 2 = 4 must not exceed twice the level
+    assert gepner_witten((1,), (1,), (2,), 2) == 1
+    assert gepner_witten((1,), (1,), (2,), 1) == 0
     with pytest.raises(ValueError):
         gepner_witten((1, 1, 1), (1,), (2, 1, 1), 4)
+
+
+def test_gepner_witten_equals_oracle_on_two_rows():
+    for k in (1, 2, 3):
+        ctx = FusionContext(2, k)
+        for nu_size in range(7):
+            for nu in restricted_partitions_of(nu_size, ctx):
+                for la in subpartitions(nu):
+                    if not is_restricted(la, ctx):
+                        continue
+                    for mu in restricted_partitions_of(nu_size - sum(la), ctx):
+                        assert gepner_witten(la, mu, nu, k) == fusion_oracle(
+                            la, mu, nu, ctx
+                        ), (la, mu, nu, k)
+
+
+def test_fusion_expand_equals_oracle():
+    # mu up to six boxes, so up to six columns; the oracle is taken per nu
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            ctx = FusionContext(n, k)
+            for mu_size in range(7):
+                for mu in restricted_partitions_of(mu_size, ctx):
+                    for la_size in range(4):
+                        for la in restricted_partitions_of(la_size, ctx):
+                            oracle = {
+                                nu: value
+                                for nu in restricted_supersets(la, mu_size, ctx)
+                                if (value := fusion_oracle(la, mu, nu, ctx))
+                            }
+                            assert fusion_expand(la, mu, ctx) == oracle, (la, mu, ctx)
+
+
+def test_fusion_expand_single_wide_row():
+    # nine columns: only 55 of the 9! compositions fit in two rows
+    assert fusion_expand((3, 1), (9,), FusionContext(2, 11)) == {
+        (10, 3): 1,
+        (11, 2): 1,
+        (12, 1): 1,
+    }
 
 
 def test_duality_spot_checks():

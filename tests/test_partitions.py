@@ -9,8 +9,10 @@ from fusionkit.partitions import (
     is_border,
     is_edge,
     is_restricted,
+    nonneg_compositions,
     normalize,
     parse_partition,
+    partitions_of,
     partitions_up_to,
     perm_sign,
     quotient,
@@ -129,6 +131,26 @@ def test_sigma_dot_preserves_total():
         for sigma in permutations((1, 2, 3)):
             comp = sigma_dot(sigma, mu_conj, 3)
             assert sum(comp) == sum(mu_conj)
+
+
+def test_nonneg_compositions_are_the_filtered_permutations():
+    from itertools import permutations
+
+    # every mu' of at most six columns, each column at most three boxes
+    for total in range(19):
+        for mu_conj in partitions_of(total, max_part=3, max_len=6):
+            m = len(mu_conj)
+            every = {
+                (sigma, sigma_dot(sigma, mu_conj, m))
+                for sigma in permutations(range(1, m + 1))
+            }
+            for cap in (0, 1, 2, 3, total):
+                got = list(nonneg_compositions(mu_conj, cap))
+                assert len(got) == len(set(got))
+                assert set(got) == {
+                    (sigma, comp) for sigma, comp in every
+                    if all(0 <= c <= cap for c in comp)
+                }, (mu_conj, cap)
 
 
 def test_perm_sign():
