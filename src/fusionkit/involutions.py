@@ -13,16 +13,16 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .partitions import FusionContext, conjugate, is_edge, is_restricted, normalize, perm_sign
+from .partitions import FusionContext, _restricted, conjugate, is_edge, normalize, perm_sign
 from .paths import (
     LatticePath,
     PathTableau,
+    _place_blocks,
+    _walk,
     block_boxes,
     block_has_bot,
     block_has_top,
-    block_slices,
     boundary_shapes,
-    path_from_label_blocks,
     path_to_tableau,
 )
 from .words import (
@@ -36,8 +36,11 @@ from .words import (
 )
 
 
+_TRACE = os.environ.get("FUSIONKIT_TRACE") == "1"
+
+
 def _trace(label: str, w: BracketWord, mark: int | None = None) -> None:
-    if os.environ.get("FUSIONKIT_TRACE") == "1":
+    if _TRACE:
         print(f"fusionkit: {label} {render(w, mark)}", file=sys.stderr)
 
 
@@ -97,28 +100,23 @@ def psi(term: SignedTerm, mu) -> SignedTerm:
     for _ in range(abs(d)):
         w = raise_e(w) if d > 0 else lower_f(w)
     _trace("psi moved", w)
-    return _replace_pair(term, r, w, swap_sigma=True)
+    return _replace_pair(term, r, w)
 
 
-def _replace_pair(term: SignedTerm, r: int, w: BracketWord, swap_sigma: bool) -> SignedTerm:
-    """Rebuild blocks r, r+1 of the term's path from a two-block word."""
+def _replace_pair(term: SignedTerm, r: int, w: BracketWord) -> SignedTerm:
+    """Splice blocks r, r+1 of the term's path, rebuilt from a two-block
+    word, and swap r and r+1 in its permutation."""
     path = term.path
-    shapes = boundary_shapes(path)
-    sub = path_from_label_blocks(shapes[r - 1], [w.block(1), w.block(2)])
-    if normalize(sub.target) != shapes[r + 1]:
+    lo = sum(path.ascents[: r - 1])
+    hi = lo + path.ascents[r - 1] + path.ascents[r]
+    start = _walk(path.base, path.steps[:lo])
+    blocks = (w.block(1), w.block(2))
+    steps, shapes = _place_blocks(start, blocks)
+    if shapes[-1] != _walk(start, path.steps[lo:hi]):
         raise RuntimeError("rebuilt block pair does not reach the original shape")
-    slices = block_slices(path)
-    lo = slices[r - 1][0]
-    hi = slices[r][1]
-    steps = path.steps[:lo] + sub.steps + path.steps[hi:]
-    ascents = list(path.ascents)
-    ascents[r - 1], ascents[r] = sub.ascents[0], sub.ascents[1]
-    new_path = LatticePath(path.base, steps, tuple(ascents))
-    sigma = term.sigma
-    if swap_sigma:
-        sigma = tuple(
-            r + 1 if v == r else r if v == r + 1 else v for v in sigma
-        )
+    ascents = path.ascents[: r - 1] + (len(blocks[0]), len(blocks[1])) + path.ascents[r + 1 :]
+    new_path = LatticePath(path.base, path.steps[:lo] + steps + path.steps[hi:], ascents)
+    sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
     return SignedTerm(sigma, new_path)
 
 
@@ -183,13 +181,14 @@ def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
 
 
 def _rebuild_two_block(path: LatticePath, w: BracketWord, ctx: FusionContext) -> LatticePath:
-    new_path = path_from_label_blocks(path.base, [w.block(1), w.block(2)])
-    if normalize(new_path.target) != normalize(path.target):
+    blocks = (w.block(1), w.block(2))
+    steps, shapes = _place_blocks(path.base, blocks)
+    if shapes[-1] != path.target:
         raise RuntimeError("rebuilt path changed its endpoint")
-    for shape in boundary_shapes(new_path):
-        if not is_restricted(shape, ctx):
+    for shape in (path.base, *shapes):
+        if not _restricted(shape, ctx):
             raise RuntimeError(f"rebuilt path leaves the restricted region at {shape}")
-    return new_path
+    return LatticePath(path.base, steps, (len(blocks[0]), len(blocks[1])))
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,7 +324,7 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
     else:
         result = psi(term, mu)
     for shape in boundary_shapes(result.path):
-        if not is_restricted(shape, ctx):
+        if not _restricted(shape, ctx):
             raise RuntimeError("classical move left the restricted region")
     return result
 
@@ -333,7 +332,7 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
 def is_k_fusion(path: LatticePath, ctx: FusionContext, mu) -> bool:
     """Fitting, restricted at every block boundary, and outside D2."""
     mu = normalize(mu)
-    if any(not is_restricted(s, ctx) for s in boundary_shapes(path)):
+    if any(not _restricted(s, ctx) for s in boundary_shapes(path)):
         return False
     if not fits(path, mu):
         return False

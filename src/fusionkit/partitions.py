@@ -1,8 +1,10 @@
 """Partitions, level-restriction predicates, and the rank-level duality map.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers.
-Trailing zeros carry no meaning; every function normalizes them away, so
-``(2, 1)`` and ``(2, 1, 0)`` denote the same partition.
+Trailing zeros carry no meaning, so ``(2, 1)`` and ``(2, 1, 0)`` denote the
+same partition.  Public functions validate their arguments and normalize
+the zeros away; private helpers, here and in the other modules, take
+tuples that are already normalized.
 """
 
 from __future__ import annotations
@@ -88,27 +90,34 @@ class FusionContext:
 
 
 def _span(p, ctx: FusionContext) -> int | None:
-    """First part minus n-th part, or None if p has more than n rows."""
-    p = normalize(p)
+    """First part minus n-th part, or None if p has more than n rows.
+
+    ``p`` is normalized, or padded with zeros to at most n parts.
+    """
     if len(p) > ctx.n:
         return None
     return (p[0] if p else 0) - (p[ctx.n - 1] if len(p) == ctx.n else 0)
 
 
-def is_restricted(p, ctx: FusionContext) -> bool:
-    """At most n rows and first-minus-last part at most k (difference 0 allowed)."""
+def _restricted(p, ctx: FusionContext) -> bool:
+    """``is_restricted`` for a ``p`` that ``_span`` accepts as it is."""
     d = _span(p, ctx)
     return d is not None and d <= ctx.k
 
 
+def is_restricted(p, ctx: FusionContext) -> bool:
+    """At most n rows and first-minus-last part at most k (difference 0 allowed)."""
+    return _restricted(normalize(p), ctx)
+
+
 def is_edge(p, ctx: FusionContext) -> bool:
     """First-minus-last part exactly k."""
-    return _span(p, ctx) == ctx.k
+    return _span(normalize(p), ctx) == ctx.k
 
 
 def is_border(p, ctx: FusionContext) -> bool:
     """First-minus-last part exactly k + 1."""
-    return _span(p, ctx) == ctx.k + 1
+    return _span(normalize(p), ctx) == ctx.k + 1
 
 
 def quotient(p, ctx: FusionContext) -> Partition:

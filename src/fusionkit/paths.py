@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import FusionContext, Partition, is_restricted, normalize
+from .partitions import FusionContext, Partition, _restricted, normalize
 
 Box = tuple[int, int]
 
@@ -91,31 +91,30 @@ class LatticePath:
     def __post_init__(self):
         if sum(self.ascents) != len(self.steps):
             raise ValueError("ascent blocks must account for every step")
+        # every shape along the path is then normalized too (see add_box)
+        base = normalize(self.base)
+        if base != self.base:  # else keep the caller's tuple, shared by its paths
+            object.__setattr__(self, "base", base)
 
     @property
     def target(self) -> Partition:
-        shape = self.base
-        for box in self.steps:
-            shape = add_box(shape, box)
-        return normalize(shape)
+        return _walk(self.base, self.steps)
 
     def labels(self) -> tuple[int, ...]:
         return tuple(diagonal_label(b) for b in self.steps)
 
 
-def block_slices(path: LatticePath) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    for a in path.ascents:
-        out.append((start, start + a))
-        start += a
-    return out
+def _walk(shape, boxes) -> Partition:
+    """The shape after adding ``boxes`` in order; normalized when ``shape`` is."""
+    for box in boxes:
+        shape = add_box(shape, box)
+    return shape
 
 
 def block_boxes(path: LatticePath, i: int) -> tuple[Box, ...]:
     """Boxes of 1-indexed block i."""
-    lo, hi = block_slices(path)[i - 1]
-    return path.steps[lo:hi]
+    lo = sum(path.ascents[: i - 1])
+    return path.steps[lo : lo + path.ascents[i - 1]]
 
 
 def block_labels(path: LatticePath, i: int) -> tuple[int, ...]:
@@ -124,14 +123,11 @@ def block_labels(path: LatticePath, i: int) -> tuple[int, ...]:
 
 def boundary_shapes(path: LatticePath) -> tuple[Partition, ...]:
     """Shapes at block boundaries, from base to target inclusive."""
-    shapes = [normalize(path.base)]
-    shape = path.base
+    shapes = [path.base]
     pos = 0
     for a in path.ascents:
-        for box in path.steps[pos : pos + a]:
-            shape = add_box(shape, box)
+        shapes.append(_walk(shapes[-1], path.steps[pos : pos + a]))
         pos += a
-        shapes.append(normalize(shape))
     return tuple(shapes)
 
 
@@ -146,9 +142,12 @@ class PathTableau:
 
 
 def path_to_tableau(path: LatticePath) -> PathTableau:
-    return PathTableau(
-        tuple(block_labels(path, i) for i in range(1, len(path.ascents) + 1))
-    )
+    columns = []
+    pos = 0
+    for a in path.ascents:
+        columns.append(tuple(col - row for row, col in path.steps[pos : pos + a]))
+        pos += a
+    return PathTableau(tuple(columns))
 
 
 def block_has_bot(path: LatticePath, i: int) -> bool:
@@ -161,15 +160,15 @@ def block_has_top(path: LatticePath, i: int, ctx: FusionContext) -> bool:
     return any(row == ctx.n for row, _ in block_boxes(path, i))
 
 
-def path_from_label_blocks(base, label_blocks) -> LatticePath:
-    """Reconstruct the path adding, per block, boxes in decreasing label order.
+def _place_blocks(shape, label_blocks) -> tuple[tuple[Box, ...], list[Partition]]:
+    """Place each block's labels, in decreasing order, at the unique addable
+    box on their diagonal, starting from ``shape``.
 
-    Each label is placed at the unique addable box on its diagonal; raises
-    when no such box exists (the label multiset does not describe a path).
+    Returns the boxes in add order and the shape after each block; raises
+    when a label has no addable box (the labels do not describe a path).
     """
-    base = normalize(base)
-    shape = base
     steps: list[Box] = []
+    shapes = []
     for labels in label_blocks:
         for d in sorted(labels, reverse=True):
             box = addable_box(shape, d)
@@ -177,7 +176,14 @@ def path_from_label_blocks(base, label_blocks) -> LatticePath:
                 raise ValueError(f"no addable box on diagonal {d} of {shape}")
             shape = add_box(shape, box)
             steps.append(box)
-    return LatticePath(base, tuple(steps), tuple(len(b) for b in label_blocks))
+        shapes.append(shape)
+    return tuple(steps), shapes
+
+
+def path_from_label_blocks(base, label_blocks) -> LatticePath:
+    """Reconstruct the path adding, per block, boxes in decreasing label order."""
+    steps, _ = _place_blocks(base, label_blocks)
+    return LatticePath(base, steps, tuple(len(b) for b in label_blocks))
 
 
 def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=None):
@@ -197,7 +203,7 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
     if len(base) > len(target) or any(b > t for b, t in zip(base, target)):
         return
     if ctx is not None and not (
-        is_restricted(base, ctx) and is_restricted(target, ctx)
+        _restricted(base, ctx) and _restricted(target, ctx)
     ):
         return
     chain: list[tuple[Box, ...]] = []
@@ -209,7 +215,7 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
             yield tuple(chain)
             return
         for new_shape, boxes in vertical_strips(shape, sizes[i], within=target):
-            if ctx is not None and not is_restricted(new_shape, ctx):
+            if ctx is not None and not _restricted(new_shape, ctx):
                 continue
             if pair_ok is not None and chain and not pair_ok(chain[-1], boxes):
                 continue
@@ -223,7 +229,7 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
 def strip_chain_counts(base, sizes, ctx: FusionContext) -> dict[Partition, int]:
     """Chains of vertical strips with the given sizes from the normalized
     ``base``, counted by last shape; every block boundary is restricted."""
-    if any(s < 0 for s in sizes) or not is_restricted(base, ctx):
+    if any(s < 0 for s in sizes) or not _restricted(base, ctx):
         return {}
     # no strip can outgrow these columns, so only the n rows bound a shape
     within = ((base[0] if base else 0) + sum(sizes),) * ctx.n
@@ -236,7 +242,8 @@ def strip_chain_counts(base, sizes, ctx: FusionContext) -> dict[Partition, int]:
                 if new_shape[0] - new_shape[-1] <= ctx.k:
                     grown[new_shape] = grown.get(new_shape, 0) + count
         frontier = grown
-    return {normalize(shape): count for shape, count in frontier.items()}
+    # parts never increase, so the zeros are the trailing ones
+    return {shape[: ctx.n - shape.count(0)]: count for shape, count in frontier.items()}
 
 
 @lru_cache(maxsize=None)

@@ -27,9 +27,9 @@ from .coefficients import (
 from .involutions import SignedTerm, in_D1, in_D2, phi, phi1, phi2, psi
 from .partitions import (
     FusionContext,
+    _restricted,
     conjugate,
     format_partition,
-    is_restricted,
     partitions_of,
     partitions_up_to,
     rank_level_dual,
@@ -183,6 +183,7 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
         if rest == 0:
             continue
         for mu in partitions_of(rest):
+            info = _info(la, mu, nu)
             total = 0
             fixed = 0
             for term in omega_terms(la, mu, nu):
@@ -192,7 +193,7 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
                 involution.record(
                     back == term,
                     check=involution.name,
-                    **_info(la, mu, nu),
+                    **info,
                     sigma=list(term.sigma),
                 )
                 if image == term:
@@ -201,19 +202,19 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
                         range(1, len(term.sigma) + 1)
                     ) and fits(term.path, mu)
                     fixed_points.record(
-                        ok, check=fixed_points.name, **_info(la, mu, nu)
+                        ok, check=fixed_points.name, **info
                     )
                 else:
                     sign_flip.record(
                         image.sign == -term.sign,
                         check=sign_flip.name,
-                        **_info(la, mu, nu),
+                        **info,
                     )
             expected = lr_paths(la, mu, nu)
             signed_sum.record(
                 total == expected and fixed == expected,
                 check=signed_sum.name,
-                **_info(la, mu, nu),
+                **info,
                 signed=total,
                 fixed=fixed,
                 lr=expected,
@@ -282,7 +283,7 @@ def _fusion_chunk(args) -> list[CheckResult]:
             )
         unrestricted = list(omega_terms(la, mu, nu))
         if all(
-            all(is_restricted(s, ctx) for s in boundary_shapes(t.path))
+            all(_restricted(s, ctx) for s in boundary_shapes(t.path))
             for t in unrestricted
         ):
             vacuous.record(
@@ -461,10 +462,10 @@ def gepner_witten_comparison(k_max: int = 6, size_max: int = 10):
         for nu_size in range(0, size_max + 1):
             for nu in restricted_partitions_of(nu_size, ctx):
                 for la in subpartitions(nu):
-                    if not is_restricted(la, ctx):
+                    if not _restricted(la, ctx):
                         continue
                     for mu in partitions_of(nu_size - sum(la), max_len=2):
-                        if not is_restricted(mu, ctx):
+                        if not _restricted(mu, ctx):
                             continue
                         oracle = fusion_oracle(la, mu, nu, ctx)
                         printed = _gepner_witten_printed(la, mu, nu, k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .partitions import conjugate, normalize
+from .partitions import conjugate
 from .paths import LatticePath, block_labels
 
 
@@ -122,7 +122,6 @@ def fits(path: LatticePath, mu) -> bool:
     parenthesis.  The path's ascent composition must equal the column
     lengths of mu.
     """
-    mu = normalize(mu)
     if tuple(path.ascents) != conjugate(mu):
         raise ValueError(
             f"ascents {path.ascents} do not match column lengths of {mu}"

@@ -58,8 +58,16 @@ def test_criterion_01_lr_equivalence():
 
 
 def test_criterion_02_classical_involution():
-    ok, detail = _summarize(classical_involution_checks(8))
+    checks = classical_involution_checks(8)
+    ok, detail = _summarize(checks)
     _conclude("criterion 2 (classical involution suite, |nu| <= 8)", ok, detail)
+    # a path rebuild that dropped or duplicated terms would move these counts
+    assert [(c.name, c.checked) for c in checks] == [
+        ("psi_squared_identity", 59308),
+        ("psi_reverses_sign", 58024),
+        ("psi_fixed_points_are_fitting", 1284),
+        ("signed_sum_equals_fitting_count", 4069),
+    ]
 
 
 def test_criterion_03_fusion_involution(fusion_sweep):

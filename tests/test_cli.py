@@ -100,6 +100,23 @@ def test_queries_do_not_import_the_sweeps():
     assert out.strip() == "False"
 
 
+def test_trace_lines_only_when_enabled():
+    # the setting is read once, at import, so only a fresh interpreter sees it
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "fusionkit.cli", "fusion", "1", "2,1", "2,2",
+            "--n", "3", "--k", "2", "--explain"]
+    env = {key: value for key, value in os.environ.items() if key != "FUSIONKIT_TRACE"}
+    env["PYTHONPATH"] = str(src)
+    quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
+    traced = subprocess.run(
+        argv, capture_output=True, text=True, env={**env, "FUSIONKIT_TRACE": "1"}
+    )
+    assert quiet.returncode == traced.returncode == 0
+    assert quiet.stdout == traced.stdout and quiet.stdout.startswith("1\n")
+    assert quiet.stderr == ""
+    assert "fusionkit: membership word" in traced.stderr
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(la, mu, ctx):
         raise RuntimeError("negative fusion coefficient")

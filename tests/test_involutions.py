@@ -12,9 +12,19 @@ from fusionkit.involutions import (
     phi2,
     psi,
 )
-from fusionkit.partitions import FusionContext, conjugate, partitions_of, partitions_up_to, subpartitions
+from fusionkit.partitions import (
+    FusionContext,
+    conjugate,
+    is_restricted,
+    normalize,
+    partitions_of,
+    partitions_up_to,
+    subpartitions,
+)
 from fusionkit.paths import (
+    add_box,
     block_has_bot,
+    boundary_shapes,
     enumerate_paths,
     path_from_label_blocks,
     path_to_tableau,
@@ -89,6 +99,20 @@ def test_psi_fixes_fitting_terms():
     assert psi(term, (2,)) == term
 
 
+def _assert_rebuilt_from_scratch(path):
+    # psi and phi splice only the blocks they move; a path built afresh from
+    # all of the image's block labels, and its shapes walked box by box, agree
+    assert path == path_from_label_blocks(path.base, path_to_tableau(path).columns)
+    shapes, shape, pos = [path.base], path.base, 0
+    for a in path.ascents:
+        for box in path.steps[pos : pos + a]:
+            shape = add_box(shape, box)
+        pos += a
+        shapes.append(shape)
+    assert boundary_shapes(path) == tuple(shapes)
+    assert all(normalize(s) == s for s in shapes)
+
+
 def test_psi_involution_small():
     for nu in partitions_up_to(6):
         for la in subpartitions(nu):
@@ -101,6 +125,7 @@ def test_psi_involution_small():
                 for term in omega_terms(la, mu, nu):
                     signed += term.sign
                     image = psi(term, mu)
+                    _assert_rebuilt_from_scratch(image.path)
                     assert psi(image, mu) == term
                     if image == term:
                         fixed += 1
@@ -115,6 +140,24 @@ def test_psi_rejects_balanced_gap():
     bad = path_from_label_blocks((), [(0,), (1, -1)])
     with pytest.raises(RuntimeError):
         psi(SignedTerm((1, 2), bad), (2, 1))
+
+
+def test_phi_splice_equals_a_full_rebuild():
+    exceptional = 0
+    for n in range(2, 5):
+        for k in range(1, 4):
+            ctx = FusionContext(n, k)
+            for nu in partitions_up_to(7, max_len=n):
+                if not is_restricted(nu, ctx):
+                    continue
+                for la in subpartitions(nu):
+                    for mu in partitions_of(sum(nu) - sum(la), max_part=2):
+                        if mu[:1] != (2,) or len(mu) == n or not is_restricted(la, ctx):
+                            continue
+                        for term in omega_terms(la, mu, nu, ctx):
+                            _assert_rebuilt_from_scratch(phi(term, ctx, mu).path)
+                            exceptional += in_D1(term.path, ctx)
+    assert exceptional > 10
 
 
 # ---------------------------------------------------------------------------

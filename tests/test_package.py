@@ -1,7 +1,10 @@
 import ast
 import pathlib
 
+import pytest
+
 import fusionkit
+from fusionkit import FusionContext, LatticePath, enumerate_paths, fusion_rule, is_restricted
 
 
 def test_all_matches_public_imports():
@@ -17,3 +20,24 @@ def test_all_matches_public_imports():
     assert set(fusionkit.__all__) == public
     for name in fusionkit.__all__:
         assert getattr(fusionkit, name, None) is not None, name
+
+
+def test_public_entry_points_normalize_and_validate():
+    # internal helpers take normalized tuples; the public names still accept
+    # trailing zeros and reject a sequence that is not a partition
+    ctx = FusionContext(3, 2)
+    assert is_restricted((2, 1, 0), ctx) == is_restricted((2, 1), ctx) is True
+    padded_paths = enumerate_paths((1, 0), (2, 1, 0), (1, 1))
+    assert padded_paths == enumerate_paths((1,), (2, 1), (1, 1))
+    assert len(padded_paths) == 2
+    assert all(p.base == (1,) and p.target == (2, 1) for p in padded_paths)
+    assert fusion_rule((1, 0), (2, 1, 0), (2, 2, 0), ctx) == 1
+    assert LatticePath((1, 0), ((1, 2),), (1,)).target == (2,)
+    with pytest.raises(ValueError):
+        is_restricted((1, 2), ctx)
+    with pytest.raises(ValueError):
+        enumerate_paths((1, 2), (2, 2), (1,))
+    with pytest.raises(ValueError):
+        fusion_rule((1,), (1, 2), (2, 2), ctx)
+    with pytest.raises(ValueError):
+        LatticePath((1, 2), (), ())
