@@ -127,10 +127,17 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, where the platform reports its affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs or _usable_cpus()
     report = run_suite(
         args.suite,
         n_max=args.n_max,
@@ -179,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--n-max", type=int, default=3)
     p_v.add_argument("--k-max", type=int, default=2)
     p_v.add_argument("--size-max", type=int, default=6)
-    p_v.add_argument("--jobs", type=int, default=0, help="0 means all cores")
+    p_v.add_argument("--jobs", type=int, default=0, help="0 means every CPU this process may use")
     p_v.set_defaults(fn=_cmd_verify)
 
     return parser

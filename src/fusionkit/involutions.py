@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .partitions import FusionContext, _restricted, conjugate, is_edge, normalize, perm_sign
+from .partitions import FusionContext, _conjugate, _restricted, is_edge, normalize, perm_sign
 from .paths import (
     LatticePath,
     PathTableau,
@@ -27,12 +27,13 @@ from .paths import (
 )
 from .words import (
     BracketWord,
-    fits,
+    _fits,
     flip_positions,
     lower_f,
     pair_word,
     raise_e,
     render,
+    word_type,
 )
 
 
@@ -50,10 +51,10 @@ class SignedTerm:
 
     sigma: tuple[int, ...]
     path: LatticePath
+    sign: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def sign(self) -> int:
-        return perm_sign(self.sigma)
+    def __post_init__(self):
+        object.__setattr__(self, "sign", perm_sign(self.sigma))
 
 
 def canonical_violation(tableau: PathTableau, mu) -> int | None:
@@ -221,12 +222,11 @@ class D2Certificate:
 
 def in_D2(path: LatticePath, ctx: FusionContext) -> D2Certificate:
     """Evaluate D2 membership for a two-block path with |P1| >= |P2|."""
-    if len(path.ascents) != 2 or path.ascents[0] < path.ascents[1]:
-        raise ValueError("D2 is defined for two blocks with the first at least as long")
-    mu = conjugate(path.ascents)
+    if len(path.ascents) != 2 or not path.ascents[0] >= path.ascents[1] > 0:
+        raise ValueError("D2 is defined for two nonempty blocks with the first at least as long")
     w = pair_word(path, 1)
     nu = path.target
-    column_strict = fits(path, mu)
+    column_strict = word_type(w)[1] == 0  # fits(path, conjugate(ascents)): one block pair
 
     bot_boxes = [b for b in path.steps if b[0] == 1]
     top_boxes = [b for b in path.steps if b[0] == ctx.n]
@@ -317,7 +317,7 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
         if in_D1(path, ctx):
             return SignedTerm(swap, phi1(path, ctx))
         result = psi(term, mu)
-    elif fits(path, mu):
+    elif _fits(path, _conjugate(mu)):
         if in_D2(path, ctx).is_member:
             return SignedTerm(swap, phi2(path, ctx))
         return term
@@ -334,6 +334,6 @@ def is_k_fusion(path: LatticePath, ctx: FusionContext, mu) -> bool:
     mu = normalize(mu)
     if any(not _restricted(s, ctx) for s in boundary_shapes(path)):
         return False
-    if not fits(path, mu):
+    if not _fits(path, _conjugate(mu)):
         return False
     return not in_D2(path, ctx).is_member

@@ -10,21 +10,19 @@ tuples that are already normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 Partition = tuple[int, ...]
 
 
 def normalize(parts) -> Partition:
     """Validate a weakly decreasing nonnegative sequence and strip trailing zeros."""
-    p = tuple(int(x) for x in parts)
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {p}")
+    p = tuple(map(int, parts))
+    if any(map(lt, p, p[1:])):
+        raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part in {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    return p[: len(p) - p.count(0)]  # decreasing and nonnegative: the zeros trail
 
 
 def parse_partition(text: str) -> Partition:
@@ -62,10 +60,17 @@ def contains(outer, inner) -> bool:
 
 def conjugate(p) -> Partition:
     """Column-lengths partition (transpose of the diagram)."""
-    p = normalize(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
+    return _conjugate(normalize(p))
+
+
+def _conjugate(p) -> Partition:
+    """``conjugate`` of a normalized ``p``."""
+    out, rows = [], len(p)
+    for j in range(p[0] if p else 0):
+        while p[rows - 1] <= j:  # parts decrease, so the rows shorter than j + 1 come last
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +251,7 @@ def subpartitions(nu):
 def restricted_partitions_of(total: int, ctx: FusionContext):
     """Partitions of ``total`` that are (n, k)-restricted."""
     for p in partitions_of(total, max_len=ctx.n):
-        if is_restricted(p, ctx):
+        if _restricted(p, ctx):
             yield p
 
 
@@ -259,7 +264,7 @@ def restricted_supersets(la, extra: int, ctx: FusionContext):
         if i == ctx.n:
             if remaining == 0:
                 q = normalize(prefix)
-                if is_restricted(q, ctx):
+                if _restricted(q, ctx):
                     yield q
             return
         # part i must cover lo[i], stay <= cap, and leave enough room

@@ -117,10 +117,6 @@ def block_boxes(path: LatticePath, i: int) -> tuple[Box, ...]:
     return path.steps[lo : lo + path.ascents[i - 1]]
 
 
-def block_labels(path: LatticePath, i: int) -> tuple[int, ...]:
-    return tuple(diagonal_label(b) for b in block_boxes(path, i))
-
-
 def boundary_shapes(path: LatticePath) -> tuple[Partition, ...]:
     """Shapes at block boundaries, from base to target inclusive."""
     shapes = [path.base]

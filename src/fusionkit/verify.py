@@ -126,6 +126,16 @@ def _grid(n_max: int, k_max: int, bound: int) -> list[tuple[int, int, int]]:
     return [(n, k, bound) for n in range(2, n_max + 1) for k in range(1, k_max + 1)]
 
 
+def _mu_units(n_max: int, k_max: int, size_max: int, max_cols: int | None = None):
+    """One work item (n, k, size_max, (mu,)) per mu of ``_shapes``, in ``_grid``
+    order; an (n, k) without shapes keeps one item with no mu, so its checks are listed."""
+    units = []
+    for n, k, _ in _grid(n_max, k_max, size_max):
+        mus = _shapes(FusionContext(n, k), size_max, max_cols)
+        units += [(n, k, size_max, tuple(mus[i : i + 1])) for i in range(max(len(mus), 1))]
+    return units
+
+
 def _shapes(ctx: FusionContext, size_max: int, max_cols: int | None = None):
     """Nonempty restricted mu with |mu| <= size_max (and at most ``max_cols``
     columns), listed deterministically."""
@@ -232,7 +242,7 @@ def classical_involution_checks(size_max: int, jobs: int = 1) -> list[CheckResul
 # fusion sweeps
 
 def _fusion_chunk(args) -> list[CheckResult]:
-    n, k, size_max = args
+    n, k, size_max, mus = args
     ctx = FusionContext(n, k)
     involution = CheckResult("phi_squared_identity")
     sign_flip = CheckResult("phi_reverses_sign")
@@ -258,7 +268,7 @@ def _fusion_chunk(args) -> list[CheckResult]:
         big_level,
         vacuous,
     ]
-    for la, mu, nu in _triples(ctx, _shapes(ctx, size_max, 2), size_max):
+    for la, mu, nu in _triples(ctx, mus, size_max):
         info = _info(la, mu, nu, ctx)
         oracle = fusion_oracle(la, mu, nu, ctx)
         rule = fusion_rule(la, mu, nu, ctx)
@@ -348,15 +358,15 @@ def _omega_k_terms(la, mu, nu, ctx: FusionContext):
 def fusion_involution_checks(
     n_max: int, k_max: int, size_max: int, jobs: int = 1
 ) -> list[CheckResult]:
-    return _run_chunks(_fusion_chunk, _grid(n_max, k_max, size_max), jobs)
+    return _run_chunks(_fusion_chunk, _mu_units(n_max, k_max, size_max, 2), jobs)
 
 
 def _monotone_chunk(args) -> list[CheckResult]:
-    n, k, size_max = args
+    n, k, size_max, mus = args
     ctx = FusionContext(n, k)
     up = FusionContext(n, k + 1)
     monotone = CheckResult("fusion_monotone_in_level")
-    for la, mu, nu in _triples(ctx, _shapes(ctx, size_max, 2), size_max):
+    for la, mu, nu in _triples(ctx, mus, size_max):
         low = fusion_oracle(la, mu, nu, ctx)
         high = fusion_oracle(la, mu, nu, up)
         monotone.record(
@@ -371,15 +381,14 @@ def _monotone_chunk(args) -> list[CheckResult]:
 
 def monotone_checks(n_max: int, k_max: int, size_max: int, jobs: int = 1) -> list[CheckResult]:
     """One- and two-column shapes: the coefficient never drops as k grows."""
-    return _run_chunks(_monotone_chunk, _grid(n_max, k_max, size_max), jobs)
+    return _run_chunks(_monotone_chunk, _mu_units(n_max, k_max, size_max, 2), jobs)
 
 
 def _duality_chunk(args) -> list[CheckResult]:
-    n, k, size_max = args
+    n, k, size_max, mus = args
     ctx = FusionContext(n, k)
     invariance = CheckResult("duality_invariance")
     dual_conjugate = CheckResult("dual_of_low_shape_is_conjugate")
-    mus = _shapes(ctx, size_max)
     for mu in mus:
         if n >= 3 and len(mu) <= 2:
             dual_conjugate.record(
@@ -406,7 +415,7 @@ def _duality_chunk(args) -> list[CheckResult]:
 
 
 def duality_checks(n_max: int, k_max: int, size_max: int, jobs: int = 1) -> list[CheckResult]:
-    return _run_chunks(_duality_chunk, _grid(n_max, k_max, size_max), jobs)
+    return _run_chunks(_duality_chunk, _mu_units(n_max, k_max, size_max), jobs)
 
 
 def _identity_chunk(args) -> list[CheckResult]:

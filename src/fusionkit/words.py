@@ -10,9 +10,10 @@ one unpaired letter at a time between the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from .partitions import conjugate
-from .paths import LatticePath, block_labels
+from .paths import LatticePath
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,16 +60,23 @@ def _from_letters(letters) -> BracketWord:
 
 
 def word_of(p1_labels, p2_labels) -> BracketWord:
-    """Merge two strictly decreasing label blocks into a sorted bracket word."""
-    for labels in (p1_labels, p2_labels):
-        labels = tuple(labels)
-        if any(a <= b for a, b in zip(labels, labels[1:])):
+    """Merge two strictly decreasing label blocks into a sorted bracket word,
+    in one pass from their small ends."""
+    a, b = tuple(p1_labels), tuple(p2_labels)
+    for labels in (a, b):
+        if any(map(le, labels, labels[1:])):
             raise ValueError(f"block {labels} is not strictly decreasing")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"label repeated within one block: {labels}")
-    letters = sorted(
-        [(lab, 1) for lab in p1_labels] + [(lab, 2) for lab in p2_labels]
-    )
+    letters = []
+    i, j = len(a), len(b)
+    while i and j:
+        if a[i - 1] <= b[j - 1]:  # a shared label puts the first-block letter first
+            i -= 1
+            letters.append((a[i], 1))
+        else:
+            j -= 1
+            letters.append((b[j], 2))
+    letters += [(lab, 1) for lab in reversed(a[:i])]
+    letters += [(lab, 2) for lab in reversed(b[:j])]
     return _from_letters(letters)
 
 
@@ -112,7 +120,10 @@ def flip_positions(w: BracketWord, positions) -> BracketWord:
 
 def pair_word(path: LatticePath, i: int) -> BracketWord:
     """Bracket word of adjacent blocks (i, i+1) of a path."""
-    return word_of(block_labels(path, i), block_labels(path, i + 1))
+    lo = sum(path.ascents[: i - 1])
+    p, q = path.ascents[i - 1], path.ascents[i]
+    labels = [col - row for row, col in path.steps[lo : lo + p + q]]
+    return word_of(labels[:p], labels[p:])
 
 
 def fits(path: LatticePath, mu) -> bool:
@@ -122,14 +133,14 @@ def fits(path: LatticePath, mu) -> bool:
     parenthesis.  The path's ascent composition must equal the column
     lengths of mu.
     """
-    if tuple(path.ascents) != conjugate(mu):
-        raise ValueError(
-            f"ascents {path.ascents} do not match column lengths of {mu}"
-        )
-    for i in range(1, len(path.ascents)):
-        if word_type(pair_word(path, i))[1] != 0:
-            return False
-    return True
+    return _fits(path, conjugate(mu))
+
+
+def _fits(path: LatticePath, mu_conj) -> bool:
+    """``fits`` given the column lengths ``mu_conj`` of mu."""
+    if tuple(path.ascents) != mu_conj:
+        raise ValueError(f"ascents {path.ascents} do not match column lengths {mu_conj}")
+    return all(word_type(pair_word(path, i))[1] == 0 for i in range(1, len(path.ascents)))
 
 
 def render(w: BracketWord, mark: int | None = None) -> str:

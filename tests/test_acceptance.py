@@ -82,6 +82,20 @@ def test_criterion_03_fusion_involution(fusion_sweep):
     ]
     ok, detail = _summarize([fusion_sweep[n] for n in names])
     _conclude("criterion 3 (level-k involution suite, n<=4 k<=3 |nu|<=9)", ok, detail)
+    # a work split that dropped or duplicated a mu would move these counts
+    assert [(c.name, c.checked) for c in fusion_sweep.values()] == [
+        ("phi_squared_identity", 1489),
+        ("phi_reverses_sign", 970),
+        ("phi1_image_in_D2", 78),
+        ("phi2_after_phi1_identity", 78),
+        ("phi1_after_phi2_identity", 78),
+        ("fixed_points_equal_oracle", 814),
+        ("rule_equals_oracle", 2042),
+        ("tableaux_equal_rule", 2042),
+        ("fusion_at_most_classical", 2042),
+        ("fusion_equals_classical_at_big_level", 86),
+        ("fusion_equals_classical_when_unobstructed", 1960),
+    ]
 
 
 def test_criterion_04_tableau_recount(fusion_sweep):

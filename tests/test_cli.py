@@ -179,6 +179,19 @@ def test_verify_smoke_all(capsys):
     assert [(c["name"], c["checked"]) for c in report["checks"]] == SMOKE_COUNTS
 
 
+def test_verify_jobs_zero_counts_usable_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._usable_cpus() == 3
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "monotone", "--n-max", "2", "--k-max", "1",
+        "--size-max", "2", "--jobs", "0",
+    )
+    assert code == 0 and json.loads(out)["params"]["jobs"] == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
 @pytest.mark.parametrize("suite", ["involution", "monotone", "duality", "paths-identity", "gepner-witten"])
 def test_verify_each_suite(capsys, suite):
     code, out, _ = run_cli(

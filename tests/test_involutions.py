@@ -247,6 +247,20 @@ def test_phi_uses_psi_off_the_exceptional_domain():
     assert phi(image, ctx, (2, 2, 2)) == term
 
 
+def test_signed_term_sign_is_set_once_and_not_compared():
+    path = aiv_a_path()
+    term = SignedTerm((3, 1, 2), path)
+    assert term.sign == 1 and SignedTerm((2, 1), path).sign == -1
+    twin = SignedTerm((3, 1, 2), path)
+    assert term == twin and hash(term) == hash(twin)
+    assert repr(term).startswith("SignedTerm(sigma=(3, 1, 2), path=") and "sign" not in repr(term)
+
+
+def test_in_D2_rejects_an_empty_second_block():
+    with pytest.raises(ValueError):
+        in_D2(path_from_label_blocks((), [(0, -1), ()]), CTX32)
+
+
 def test_phi_fixed_points_are_k_fusion():
     mu = (2, 1)
     for nu in [(3, 2, 1), (2, 2, 2)]:

@@ -34,6 +34,36 @@ def test_normalize_rejects_bad_input():
         normalize((2, -1))
 
 
+@pytest.mark.parametrize(
+    "parts, expected",
+    [
+        ([3, 2, 0], (3, 2)),
+        ((x for x in (2, 1, 0)), (2, 1)),
+        ((3, 2, 1, 0, 0), (3, 2, 1)),
+        ((), ()),
+        ((0, 0), ()),
+        (["2", "1"], (2, 1)),
+    ],
+)
+def test_normalize_results(parts, expected):
+    assert normalize(parts) == expected
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((1, 2), "not weakly decreasing: (1, 2)"),
+        ((2, 0, 1), "not weakly decreasing: (2, 0, 1)"),
+        ((1, -1), "negative part in (1, -1)"),
+        ((0, -1), "negative part in (0, -1)"),
+    ],
+)
+def test_normalize_messages(parts, message):
+    with pytest.raises(ValueError) as err:
+        normalize(parts)
+    assert str(err.value) == message
+
+
 def test_parse_and_format():
     assert parse_partition("3,2,1") == (3, 2, 1)
     assert parse_partition("") == ()

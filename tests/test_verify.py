@@ -1,0 +1,30 @@
+import pytest
+
+from fusionkit.partitions import FusionContext
+from fusionkit.verify import (
+    _grid,
+    _mu_units,
+    _shapes,
+    duality_checks,
+    fusion_involution_checks,
+    monotone_checks,
+)
+
+
+def test_work_units_follow_the_sweep_order():
+    units = [(n, k, mus) for n, k, _, mus in _mu_units(3, 2, 6, 2)]
+    assert units == [
+        (n, k, (mu,)) for n, k, _ in _grid(3, 2, 6) for mu in _shapes(FusionContext(n, k), 6, 2)
+    ]
+    # an (n, k) without shapes still lists its checks, with nothing checked
+    assert _mu_units(2, 1, 0) == [(2, 1, 0, ())]
+    assert [c.checked for c in fusion_involution_checks(2, 1, 0)] == [0] * 11
+
+
+@pytest.mark.parametrize("sweep", [fusion_involution_checks, monotone_checks, duality_checks])
+def test_pool_gives_the_serial_report(sweep):
+    # per-mu work units come back from the pool in work order
+    serial = [c.as_dict() for c in sweep(3, 2, 6, jobs=1)]
+    pooled = [c.as_dict() for c in sweep(3, 2, 6, jobs=2)]
+    assert pooled == serial
+    assert all(c["checked"] for c in serial)

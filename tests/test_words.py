@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from fusionkit.paths import path_from_label_blocks
+from fusionkit.partitions import partitions_up_to, subpartitions
+from fusionkit.paths import enumerate_paths, path_from_label_blocks, path_to_tableau
 from fusionkit.words import (
     fits,
     lower_f,
@@ -34,6 +35,38 @@ def test_word_of_rejects_repeats():
         word_of((2, 2), ())
     with pytest.raises(ValueError):
         word_of((1, 2), ())  # not decreasing
+    with pytest.raises(ValueError):
+        word_of((3,), (2, 2))
+
+
+def test_word_of_puts_block_one_first_on_a_shared_label():
+    assert word_of((1, 0), (1, -1)).letters == ((-1, 2), (0, 1), (1, 1), (1, 2))
+    assert word_of((0,), (0,)).brackets == "()"
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def test_word_of_equals_the_sorted_merge_on_every_path():
+    # every adjacent block pair of every path with |nu| <= 6
+    pairs = 0
+    for nu in partitions_up_to(6):
+        for la in subpartitions(nu):
+            for ascents in _compositions(sum(nu) - sum(la)):
+                for path in enumerate_paths(la, nu, ascents):
+                    blocks = path_to_tableau(path).columns
+                    for i in range(1, len(ascents)):
+                        b1, b2 = blocks[i - 1], blocks[i]
+                        expected = sorted([(lab, 1) for lab in b1] + [(lab, 2) for lab in b2])
+                        assert word_of(b1, b2).letters == tuple(expected)
+                        assert pair_word(path, i) == word_of(b1, b2)
+                        pairs += 1
+    assert pairs == 4250
 
 
 def test_word_type():
