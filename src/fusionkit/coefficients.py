@@ -1,11 +1,14 @@
 """Counting functions: classical Littlewood-Richardson and level-k fusion.
 
 All coefficients are computed exactly by exhaustive enumeration at desk
-scale.  ``fusion_oracle`` (the signed sum over permuted ascents, built
-only where they are nonnegative) is the ground truth; ``fusion_rule``
-(path counting with the level correction) and ``fusion_tableaux`` (skew
-fillings with a lattice word) are the fast routes it certifies.
-``fusion_expand``, behind every table, takes that sum for all nu at once.
+scale.  The ground truth is the signed sum over permuted-ascent restricted
+paths, built only where the ascents are nonnegative.  ``fusion_expand``,
+behind every table, takes it for all nu at once by counting strip chains
+by endpoint; ``fusion_oracle`` reads one nu of that row, and
+``omega_terms`` lists the individual signed terms the involutions act on.
+``fusion_rule`` (path counting with the level correction) and
+``fusion_tableaux`` (skew fillings with a lattice word) are the fast
+routes the sum certifies.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from functools import lru_cache
 from .involutions import SignedTerm, in_D2
 from .partitions import (
     FusionContext,
+    Partition,
+    _conjugate,
+    _restricted,
     conjugate,
     contains,
     is_edge,
@@ -62,7 +68,7 @@ def lr_paths(la, mu, nu) -> int:
     if not mu:
         return 1 if la == nu else 0
     mu_conj = conjugate(mu)
-    return sum(1 for p in enumerate_paths(la, nu, mu_conj) if fits(p, mu))
+    return sum(1 for p in enumerate_paths(la, nu, mu_conj, None) if fits(p, mu))
 
 
 def _reading_order(boxes):
@@ -186,20 +192,8 @@ def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
 
 
 def fusion_oracle(la, mu, nu, ctx: FusionContext) -> int:
-    """Ground truth: the signed sum over permuted-ascent restricted paths."""
-    la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if not all(is_restricted(p, ctx) for p in (la, mu, nu)):
-        return 0
-    if not _weight_ok(la, mu, nu):
-        return 0
-    if not mu:
-        return 1 if la == nu else 0
-    total = sum(t.sign for t in omega_terms(la, mu, nu, ctx))
-    if total < 0:
-        raise RuntimeError(
-            f"negative fusion coefficient for {la}, {mu}, {nu} at {ctx}"
-        )
-    return total
+    """Ground truth at one nu: the nu entry of ``fusion_expand``'s row."""
+    return fusion_expand(la, mu, ctx).get(normalize(nu), 0)
 
 
 def _wrap_ok(entry, la, nu, ctx: FusionContext) -> bool:
@@ -286,16 +280,31 @@ def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:
 
 def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
     """All nonzero level-k coefficients of s_la s_mu, keyed by nu: the
-    oracle's signed sum for every nu at once, counting each permutation's
-    restricted strip chains from la by endpoint."""
+    signed sum over permuted-ascent restricted paths for every nu at once."""
     la, mu = normalize(la), normalize(mu)
-    if not is_restricted(mu, ctx):
-        return {}
-    totals = {}
-    for sigma, comp in nonneg_compositions(conjugate(mu), ctx.n):
+    return _fusion_row(la, mu, ctx) if _restricted(mu, ctx) else {}
+
+
+def _fusion_row(la, mu, ctx: FusionContext, chains=None) -> dict[Partition, int]:
+    """``fusion_expand`` of a normalized la and a normalized restricted mu,
+    counting each permutation's restricted strip chains from la by endpoint.
+
+    A dict ``chains`` receives, per nu, the unsigned totals (restricted,
+    unrestricted) of those chains; unrestricted chains keep n rows but may
+    take any span, so the two agree exactly when no boundary is obstructed.
+    """
+    totals: dict[Partition, int] = {}
+    # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
+    wide = FusionContext(ctx.n, ctx.k + sum(la) + sum(mu))
+    for sigma, comp in nonneg_compositions(_conjugate(mu), ctx.n):
         sign = perm_sign(sigma)
-        for nu, count in strip_chain_counts(la, comp, ctx).items():
+        counts = strip_chain_counts(la, comp, ctx)
+        for nu, count in counts.items():
             totals[nu] = totals.get(nu, 0) + sign * count
+        if chains is not None:  # restricted chains are among the unrestricted ones
+            for nu, count in strip_chain_counts(la, comp, wide).items():
+                held, every = chains.get(nu, (0, 0))
+                chains[nu] = (held + counts.get(nu, 0), every + count)
     if any(value < 0 for value in totals.values()):
         raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
     return {nu: value for nu, value in totals.items() if value}

@@ -38,8 +38,12 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p) -> str:
-    p = normalize(p)
-    return ",".join(str(x) for x in p) if p else "0"
+    return _format_partition(normalize(p))
+
+
+def _format_partition(p) -> str:
+    """``format_partition`` of a normalized ``p``."""
+    return ",".join(map(str, p)) or "0"
 
 
 def padded(p, n: int) -> Partition:

@@ -227,22 +227,33 @@ def strip_chain_counts(base, sizes, ctx: FusionContext) -> dict[Partition, int]:
     ``base``, counted by last shape; every block boundary is restricted."""
     if any(s < 0 for s in sizes) or not _restricted(base, ctx):
         return {}
-    # no strip can outgrow these columns, so only the n rows bound a shape
-    within = ((base[0] if base else 0) + sum(sizes),) * ctx.n
-    frontier = {base + (0,) * (ctx.n - len(base)): 1}
+    n = ctx.n
+    frontier = {base + (0,) * (n - len(base)): 1}
     for size in sizes:
         grown: dict[Partition, int] = {}
         for shape, count in frontier.items():
-            for new_shape, _ in vertical_strips(shape, size, within):
-                # every shape keeps all n rows: its span is first minus last
-                if new_shape[0] - new_shape[-1] <= ctx.k:
-                    grown[new_shape] = grown.get(new_shape, 0) + count
+            # a level above shape[0] + 1 bounds no span, so such levels share one key
+            for new_shape in _strip_successors(shape, size, n, min(ctx.k, shape[0] + 1)):
+                grown[new_shape] = grown.get(new_shape, 0) + count
         frontier = grown
     # parts never increase, so the zeros are the trailing ones
-    return {shape[: ctx.n - shape.count(0)]: count for shape, count in frontier.items()}
+    return {shape[: n - shape.count(0)]: count for shape, count in frontier.items()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
+def _strip_successors(shape, size: int, n: int, k: int) -> tuple[Partition, ...]:
+    """The shapes, kept at n parts, that one vertical strip of ``size`` boxes
+    makes from the n-part ``shape`` with a span of at most k."""
+    # no strip can outgrow these columns, so only the n rows bound a shape
+    within = (shape[0] + size,) * n
+    return tuple(
+        new_shape
+        for new_shape, _ in vertical_strips(shape, size, within)
+        if new_shape[0] - new_shape[-1] <= k  # all n rows kept: first minus last
+    )
+
+
+@lru_cache(maxsize=1024)
 def enumerate_paths(
     base,
     target,
@@ -253,7 +264,9 @@ def enumerate_paths(
 
     Blocks are label-decreasing (vertical strips).  Any negative block size
     means the empty set.  With a context, the partitions at block boundaries
-    (including base and target) must all be restricted.
+    (including base and target) must all be restricted.  The 1,024 most
+    recently used argument tuples are cached; callers in the package pass
+    all four arguments positionally, so that one path set has one key.
     """
     base, target, ascents = normalize(base), normalize(target), tuple(ascents)
     return tuple(

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -41,3 +43,20 @@ def test_public_entry_points_normalize_and_validate():
         fusion_rule((1,), (1, 2), (2, 2), ctx)
     with pytest.raises(ValueError):
         LatticePath((1, 2), (), ())
+
+
+def test_module_caches_are_bounded():
+    # no module-level cache may grow without bound
+    modules = [
+        importlib.import_module(f"fusionkit.{info.name}")
+        for info in pkgutil.iter_modules(fusionkit.__path__)
+    ]
+    caches = {
+        f"{module.__name__}.{name}": obj.cache_info()
+        for module in modules
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert "fusionkit.paths.enumerate_paths" in caches
+    for name, info in caches.items():
+        assert info.maxsize is not None, name

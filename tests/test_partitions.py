@@ -4,6 +4,7 @@ from hypothesis import given
 from conftest import partition_strategy
 from fusionkit.partitions import (
     FusionContext,
+    _format_partition,
     conjugate,
     format_partition,
     is_border,
@@ -77,6 +78,7 @@ def test_parse_and_format():
 @given(partition_strategy())
 def test_parse_format_roundtrip(p):
     assert parse_partition(format_partition(p)) == p
+    assert _format_partition(p) == format_partition(p)
 
 
 def test_conjugate_values():

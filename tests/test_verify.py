@@ -1,9 +1,12 @@
 import pytest
 
-from fusionkit.partitions import FusionContext
+from fusionkit.coefficients import _fusion_row, omega_terms
+from fusionkit.partitions import FusionContext, _restricted
+from fusionkit.paths import boundary_shapes
 from fusionkit.verify import (
     _grid,
     _mu_units,
+    _rows,
     _shapes,
     duality_checks,
     fusion_involution_checks,
@@ -28,3 +31,24 @@ def test_pool_gives_the_serial_report(sweep):
     pooled = [c.as_dict() for c in sweep(3, 2, 6, jobs=2)]
     assert pooled == serial
     assert all(c["checked"] for c in serial)
+
+
+def test_unobstructed_counts_equal_the_boundary_walk():
+    # the sweep's count test against a walk over every unrestricted term
+    seen = set()
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            ctx = FusionContext(n, k)
+            for la, mu, nus in _rows(ctx, _shapes(ctx, 7), 7):
+                chains = {}
+                _fusion_row(la, mu, ctx, chains)
+                for nu in nus:
+                    walked = [
+                        all(_restricted(s, ctx) for s in boundary_shapes(t.path))
+                        for t in omega_terms(la, mu, nu)
+                    ]
+                    held, every = chains.get(nu, (0, 0))
+                    assert (held, every) == (sum(walked), len(walked)), (la, mu, nu, ctx)
+                    assert (held == every) == all(walked)
+                    seen.add(all(walked))
+    assert seen == {False, True}
