@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 3 unsupported shape, 4 internal invariant breach (a bug).  Output is
 deterministic byte-for-byte for fixed arguments.  Set FUSIONKIT_TRACE=1
 to stream bracket words of every involution step to stderr.
+
+``main`` builds its parser on first use and keeps it for the life of the
+process, so a caller that runs many requests through ``main`` pays for it
+once; ``build_parser`` returns a fresh one.  A table validates mu and
+lists its signed compositions once, then takes one fusion row per la.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .coefficients import (
     UnsupportedShape,
-    fusion_expand,
+    _fusion_row,
+    _signed_compositions,
     fusion_oracle,
     fusion_rule,
     fusion_tableaux,
@@ -27,6 +34,8 @@ from .coefficients import (
 from .involutions import is_k_fusion
 from .partitions import (
     FusionContext,
+    _format_partition,
+    _restricted,
     conjugate,
     format_partition,
     is_restricted,
@@ -99,22 +108,26 @@ def _explain(la, mu, nu, ctx) -> None:
 def _cmd_table(args) -> int:
     mu = _partition_arg(args.mu)
     ctx = FusionContext(args.n, args.k)
-    if not is_restricted(mu, ctx):
-        raise _InputError(f"mu = {format_partition(mu)} is not restricted")
+    mu_text = _format_partition(mu)
+    if not _restricted(mu, ctx):
+        raise _InputError(f"mu = {mu_text} is not restricted")
+    signed = _signed_compositions(mu, ctx.n)
     rows = []
     for la_size in range(0, args.max_size + 1):
         for la in restricted_partitions_of(la_size, ctx):
-            for nu, value in sorted(fusion_expand(la, mu, ctx).items()):
+            la_text = _format_partition(la)
+            for nu, value in _fusion_row(la, signed, ctx).items():
                 rows.append(
                     {
-                        "lambda": format_partition(la),
-                        "mu": format_partition(mu),
-                        "nu": format_partition(nu),
+                        "lambda": la_text,
+                        "mu": mu_text,
+                        "nu": _format_partition(nu),
                         "n": ctx.n,
                         "k": ctx.k,
                         "N": value,
                     }
                 )
+    # (lambda, nu) names each row once, so this key alone fixes the order
     rows.sort(key=lambda r: (r["lambda"], r["nu"]))
     if args.format == "json":
         print(json.dumps({"schema": "fusionkit.table/1", "rows": rows}, indent=2, sort_keys=True))
@@ -192,9 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _InputError as exc:

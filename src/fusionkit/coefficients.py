@@ -2,13 +2,19 @@
 
 All coefficients are computed exactly by exhaustive enumeration at desk
 scale.  The ground truth is the signed sum over permuted-ascent restricted
-paths, built only where the ascents are nonnegative.  ``fusion_expand``,
-behind every table, takes it for all nu at once by counting strip chains
-by endpoint; ``fusion_oracle`` reads one nu of that row, and
-``omega_terms`` lists the individual signed terms the involutions act on.
-``fusion_rule`` (path counting with the level correction) and
-``fusion_tableaux`` (skew fillings with a lattice word) are the fast
-routes the sum certifies.
+paths, built only where the ascents are nonnegative.  Its signed
+compositions depend on mu and n alone, so ``_signed_compositions`` lists
+them once and ``_fusion_row`` takes the sum for one la and every nu at
+once, counting strip chains by endpoint; a table or a sweep over many la
+reuses one list.  ``fusion_expand`` is that row for one (la, mu),
+``fusion_oracle`` reads one nu of it, and ``omega_terms`` lists the
+individual signed terms the involutions act on.  ``fusion_rule`` (path
+counting with the level correction) and ``fusion_tableaux`` (skew
+fillings with a lattice word) are the fast routes the sum certifies.
+
+Public functions validate their arguments; the private cores
+(``_fusion_row``, ``_fusion_rule``, ``_fusion_tableaux``, ``_lr_paths``)
+take normalized input that the caller has already checked.
 """
 
 from __future__ import annotations
@@ -21,10 +27,9 @@ from .partitions import (
     Partition,
     _conjugate,
     _restricted,
+    _span,
     conjugate,
     contains,
-    is_edge,
-    is_restricted,
     nonneg_compositions,
     normalize,
     padded,
@@ -33,7 +38,7 @@ from .partitions import (
     restricted_partitions_of,
 )
 from .paths import enumerate_paths, strip_chain_counts, strip_chains
-from .words import fits
+from .words import _fits
 
 
 class UnsupportedShape(ValueError):
@@ -50,11 +55,10 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
     With a context, only paths whose block boundaries are restricted
     appear.  Only permutations whose composition lies in 0..len(nu) are
     visited: any other has a negative block or one no vertical strip into
-    nu can fill.
+    nu can fill.  The empty mu has one term, the identity with the empty
+    path, when la = nu.
     """
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if not mu:
-        return
     for sigma, comp in nonneg_compositions(conjugate(mu), len(nu)):
         for path in enumerate_paths(la, nu, comp, ctx):
             yield SignedTerm(sigma, path)
@@ -65,10 +69,15 @@ def lr_paths(la, mu, nu) -> int:
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     if not _weight_ok(la, mu, nu) or not contains(nu, la):
         return 0
+    return _lr_paths(la, mu, nu)
+
+
+def _lr_paths(la, mu, nu) -> int:
+    """``lr_paths`` of normalized shapes with la inside nu and |la| + |mu| = |nu|."""
     if not mu:
         return 1 if la == nu else 0
-    mu_conj = conjugate(mu)
-    return sum(1 for p in enumerate_paths(la, nu, mu_conj, None) if fits(p, mu))
+    mu_conj = _conjugate(mu)
+    return sum(1 for p in enumerate_paths(la, nu, mu_conj, None) if _fits(p, mu_conj))
 
 
 def _reading_order(boxes):
@@ -173,21 +182,25 @@ def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     if mu and mu[0] > 2:
         raise UnsupportedShape(f"mu = {mu} has more than two columns")
-    if not all(is_restricted(p, ctx) for p in (la, mu, nu)):
+    if not all(_restricted(p, ctx) for p in (la, mu, nu)) or not _weight_ok(la, mu, nu):
         return 0
-    if not _weight_ok(la, mu, nu):
-        return 0
+    return _fusion_rule(la, mu, nu, ctx)
+
+
+def _fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
+    """``fusion_rule`` of normalized restricted shapes with |la| + |mu| = |nu|
+    and at most two columns in mu."""
     if not mu:
         return 1 if la == nu else 0
-    mu_conj = conjugate(mu)
+    mu_conj = _conjugate(mu)
     if mu[0] == 1:
-        return fusion_single_column(la, mu_conj[0], nu, ctx)
+        return sum(1 for _ in strip_chains(la, nu, mu_conj, ctx))
     if len(mu) == ctx.n:
         return len(enumerate_paths(la, nu, mu_conj, ctx))
     return sum(
         1
         for p in enumerate_paths(la, nu, mu_conj, ctx)
-        if fits(p, mu) and not in_D2(p, ctx).is_member
+        if _fits(p, mu_conj) and not in_D2(p, ctx).is_member
     )
 
 
@@ -199,8 +212,8 @@ def fusion_oracle(la, mu, nu, ctx: FusionContext) -> int:
 def _wrap_ok(entry, la, nu, ctx: FusionContext) -> bool:
     """Level wrap for restricted fillings: row n weakly below row 1 shifted k."""
     n, k = ctx.n, ctx.k
-    la_full = padded(la, n)
-    nu_full = padded(nu, n)
+    la_full = la + (0,) * (n - len(la))
+    nu_full = nu + (0,) * (n - len(nu))
     for j in range(la_full[n - 1] + 1, nu_full[n - 1] + 1):
         upper = (n, j)
         lower = (1, j + k)
@@ -219,13 +232,18 @@ def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     if mu and mu[0] > 2:
         raise UnsupportedShape(f"mu = {mu} has more than two columns")
-    if not all(is_restricted(p, ctx) for p in (la, mu, nu)):
+    if not all(_restricted(p, ctx) for p in (la, mu, nu)) or not _weight_ok(la, mu, nu):
         return 0
-    if not _weight_ok(la, mu, nu):
-        return 0
+    return _fusion_tableaux(la, mu, nu, ctx)
+
+
+def _fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
+    """``fusion_tableaux`` of normalized restricted shapes with
+    |la| + |mu| = |nu| and at most two columns in mu."""
     if not mu:
         return 1 if la == nu else 0
-    sizes = padded(conjugate(mu), 2)
+    mu_conj = _conjugate(mu)
+    sizes = mu_conj + (0,) * (2 - len(mu_conj))
     count = 0
     for strips in strip_chains(la, nu, sizes):
         entry = {}
@@ -245,9 +263,8 @@ def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
 def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:
     """The five tests singling out lattice fillings that must not count."""
     n = ctx.n
-    nu_full = padded(nu, n)
     # edge target
-    if not is_edge(nu, ctx):
+    if _span(nu, ctx) != ctx.k:
         return False
     # one box in the first row; one box, filled 1, in row n
     row1 = [b for b in entry if b[0] == 1]
@@ -255,7 +272,7 @@ def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:
     if len(row1) != 1 or len(rown) != 1 or entry[rown[0]] != 1:
         return False
     # the last column holds 2's
-    last = nu_full[0]
+    last = nu[0]
     two_rows = {b[0] for b in entry if b[1] == last and entry[b] == 2}
     if not two_rows:
         return False
@@ -282,30 +299,42 @@ def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
     """All nonzero level-k coefficients of s_la s_mu, keyed by nu: the
     signed sum over permuted-ascent restricted paths for every nu at once."""
     la, mu = normalize(la), normalize(mu)
-    return _fusion_row(la, mu, ctx) if _restricted(mu, ctx) else {}
+    if not _restricted(mu, ctx):
+        return {}
+    return _fusion_row(la, _signed_compositions(mu, ctx.n), ctx)
 
 
-def _fusion_row(la, mu, ctx: FusionContext, chains=None) -> dict[Partition, int]:
-    """``fusion_expand`` of a normalized la and a normalized restricted mu,
-    counting each permutation's restricted strip chains from la by endpoint.
+def _signed_compositions(mu, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The (sign, composition) terms of the signed sum for a normalized mu
+    at n rows: the sign of each sigma and its composition sigma . mu' with
+    entries in 0..n.  The identity comes first, so its composition is mu'."""
+    return tuple(
+        (perm_sign(sigma), comp) for sigma, comp in nonneg_compositions(_conjugate(mu), n)
+    )
+
+
+def _fusion_row(la, signed, ctx: FusionContext, chains=None) -> dict[Partition, int]:
+    """``fusion_expand`` of a normalized la and a restricted mu whose
+    ``_signed_compositions`` at ctx.n are ``signed``, counting each
+    composition's restricted strip chains from la by endpoint.
 
     A dict ``chains`` receives, per nu, the unsigned totals (restricted,
     unrestricted) of those chains; unrestricted chains keep n rows but may
     take any span, so the two agree exactly when no boundary is obstructed.
     """
     totals: dict[Partition, int] = {}
-    # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
-    wide = FusionContext(ctx.n, ctx.k + sum(la) + sum(mu))
-    for sigma, comp in nonneg_compositions(_conjugate(mu), ctx.n):
-        sign = perm_sign(sigma)
+    for sign, comp in signed:
         counts = strip_chain_counts(la, comp, ctx)
         for nu, count in counts.items():
             totals[nu] = totals.get(nu, 0) + sign * count
         if chains is not None:  # restricted chains are among the unrestricted ones
+            # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
+            wide = FusionContext(ctx.n, ctx.k + sum(la) + sum(comp))
             for nu, count in strip_chain_counts(la, comp, wide).items():
                 held, every = chains.get(nu, (0, 0))
                 chains[nu] = (held + counts.get(nu, 0), every + count)
     if any(value < 0 for value in totals.values()):
+        mu = _conjugate(signed[0][1])
         raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
     return {nu: value for nu, value in totals.items() if value}
 
@@ -333,7 +362,7 @@ def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
     la, nu = normalize(la), normalize(nu)
     if not contains(nu, la):
         return 0
-    if ctx is not None and not (is_restricted(la, ctx) and is_restricted(nu, ctx)):
+    if ctx is not None and not (_restricted(la, ctx) and _restricted(nu, ctx)):
         return 0
 
     @lru_cache(maxsize=None)
@@ -344,7 +373,7 @@ def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
         for i in range(len(shape)):
             if shape[i] and (i + 1 == len(shape) or shape[i + 1] < shape[i]):
                 prev = normalize(shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
-                if contains(prev, la) and (ctx is None or is_restricted(prev, ctx)):
+                if contains(prev, la) and (ctx is None or _restricted(prev, ctx)):
                     total += walk(prev)
         return total
 
@@ -354,12 +383,22 @@ def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
 def verify_restricted_path_identity(la, nu, ctx: FusionContext) -> bool:
     """Restricted path count equals the fusion-weighted sum of restricted
     standard-tableau counts over restricted shapes of the right size."""
-    la, nu = normalize(la), normalize(nu)
-    lhs = count_paths(la, nu, ctx)
-    m = sum(nu) - sum(la)
-    rhs = 0
-    for mu in restricted_partitions_of(m, ctx):
-        coeff = fusion_oracle(la, mu, nu, ctx)
-        if coeff:
-            rhs += coeff * count_paths((), mu, ctx)
+    lhs, rhs = _path_identity_sides(normalize(la), normalize(nu), ctx, {})
     return lhs == rhs
+
+
+def _path_identity_sides(la, nu, ctx: FusionContext, rows) -> tuple[int, int]:
+    """Both sides of the restricted path identity for a normalized la and nu.
+
+    ``rows`` maps mu to (la's fusion row, restricted standard count of mu)
+    and is filled as needed, so a caller sweeping nu over one la builds
+    each row once.
+    """
+    rhs = 0
+    for mu in restricted_partitions_of(sum(nu) - sum(la), ctx):
+        if mu not in rows:
+            signed = _signed_compositions(mu, ctx.n)
+            rows[mu] = (_fusion_row(la, signed, ctx), count_paths((), mu, ctx))
+        row, standard = rows[mu]
+        rhs += row.get(nu, 0) * standard
+    return count_paths(la, nu, ctx), rhs

@@ -15,21 +15,23 @@ from dataclasses import dataclass, field
 
 from .coefficients import (
     _fusion_row,
+    _fusion_rule,
+    _fusion_tableaux,
     _gepner_witten_printed,
-    count_paths,
+    _lr_paths,
+    _path_identity_sides,
+    _signed_compositions,
     fusion_oracle,
-    fusion_rule,
-    fusion_tableaux,
     gepner_witten,
     lr_expand_lattice,
     lr_expand_paths,
     lr_paths,
     omega_terms,
-    verify_restricted_path_identity,
 )
 from .involutions import SignedTerm, in_D1, in_D2, phi, phi1, phi2, psi
 from .partitions import (
     FusionContext,
+    _conjugate,
     _format_partition,
     _restricted,
     conjugate,
@@ -42,7 +44,7 @@ from .partitions import (
     subpartitions,
 )
 from .paths import enumerate_paths
-from .words import fits
+from .words import _fits, fits
 
 MAX_COUNTEREXAMPLES = 10
 
@@ -271,23 +273,25 @@ def _fusion_chunk(args) -> list[CheckResult]:
         big_level,
         vacuous,
     ]
+    signed = {mu: _signed_compositions(mu, n) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
         chains = {}
-        row = _fusion_row(la, mu, ctx, chains)
+        row = _fusion_row(la, signed[mu], ctx, chains)
+        mu_conj = _conjugate(mu)
         for nu in nus:
             info = _info(la, mu, nu, ctx)
             oracle = row.get(nu, 0)
-            rule = fusion_rule(la, mu, nu, ctx)
+            rule = _fusion_rule(la, mu, nu, ctx)
             rule_eq.record(
                 rule == oracle, check=rule_eq.name, **info,
                 rule=rule, oracle=oracle,
             )
-            tab = fusion_tableaux(la, mu, nu, ctx)
+            tab = _fusion_tableaux(la, mu, nu, ctx)
             tableaux_eq.record(
                 tab == rule, check=tableaux_eq.name, **info,
                 tableaux=tab, rule=rule,
             )
-            classical = lr_paths(la, mu, nu)
+            classical = _lr_paths(la, mu, nu)
             bound.record(
                 oracle <= classical, check=bound.name, **info,
                 oracle=oracle, classical=classical,
@@ -306,7 +310,7 @@ def _fusion_chunk(args) -> list[CheckResult]:
             if mu[0] != 2 or len(mu) == ctx.n:
                 continue  # the involution acts on genuinely two-column shapes below n rows
             fixed = 0
-            for term in _omega_k_terms(la, mu, nu, ctx):
+            for term in _omega_k_terms(la, mu_conj, nu, ctx):
                 image = phi(term, ctx, mu)
                 if image == term:
                     fixed += 1
@@ -333,7 +337,7 @@ def _fusion_chunk(args) -> list[CheckResult]:
                     )
                 if (
                     path.ascents[0] >= path.ascents[1]
-                    and fits(path, mu)
+                    and _fits(path, mu_conj)
                     and in_D2(path, ctx).is_member
                 ):
                     img = phi2(path, ctx)
@@ -348,9 +352,8 @@ def _fusion_chunk(args) -> list[CheckResult]:
     return checks
 
 
-def _omega_k_terms(la, mu, nu, ctx: FusionContext):
-    """The level-k signed terms for a two-column mu."""
-    mu_conj = conjugate(mu)
+def _omega_k_terms(la, mu_conj, nu, ctx: FusionContext):
+    """The level-k signed terms for a two-column mu with column lengths ``mu_conj``."""
     for path in enumerate_paths(la, nu, mu_conj, ctx):
         yield SignedTerm((1, 2), path)
     swapped = (mu_conj[1] - 1, mu_conj[0] + 1)
@@ -369,8 +372,10 @@ def _monotone_chunk(args) -> list[CheckResult]:
     ctx = FusionContext(n, k)
     up = FusionContext(n, k + 1)
     monotone = CheckResult("fusion_monotone_in_level")
+    # the signed compositions depend on mu and n alone, so both levels share them
+    signed = {mu: _signed_compositions(mu, n) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
-        low_row, high_row = _fusion_row(la, mu, ctx), _fusion_row(la, mu, up)
+        low_row, high_row = _fusion_row(la, signed[mu], ctx), _fusion_row(la, signed[mu], up)
         for nu in nus:
             low, high = low_row.get(nu, 0), high_row.get(nu, 0)
             monotone.record(
@@ -400,9 +405,11 @@ def _duality_chunk(args) -> list[CheckResult]:
                 check=dual_conjugate.name,
                 **_info((), mu, (), ctx),
             )
+    signed = {mu: _signed_compositions(mu, n) for mu in mus}
+    dual_signed = {mu: _signed_compositions(rank_level_dual(mu, ctx), k) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
-        row = _fusion_row(la, mu, ctx)
-        dual_row = _fusion_row(rank_level_dual(la, ctx), rank_level_dual(mu, ctx), ctx.dual())
+        row = _fusion_row(la, signed[mu], ctx)
+        dual_row = _fusion_row(rank_level_dual(la, ctx), dual_signed[mu], ctx.dual())
         for nu in nus:
             lhs, rhs = row.get(nu, 0), dual_row.get(rank_level_dual(nu, ctx), 0)
             invariance.record(
@@ -424,13 +431,15 @@ def _identity_chunk(args) -> list[CheckResult]:
     ctx = FusionContext(n, k)
     identity = CheckResult("restricted_path_identity")
     for la in _base_shapes(ctx):
+        rows = {}  # la's fusion rows, shared by every nu over it
         for extra in range(0, skew_max + 1):
             for nu in restricted_supersets(la, extra, ctx):
+                lhs, rhs = _path_identity_sides(la, nu, ctx, rows)
                 identity.record(
-                    verify_restricted_path_identity(la, nu, ctx),
+                    lhs == rhs,
                     check=identity.name,
                     **_info(la, (), nu, ctx),
-                    lhs=count_paths(la, nu, ctx),
+                    lhs=lhs,
                 )
     return [identity]
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,10 @@ import pytest
 
 from fusionkit import cli
 from fusionkit.cli import main
+from fusionkit.coefficients import fusion_expand
+from fusionkit.partitions import FusionContext, format_partition, restricted_partitions_of
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -89,24 +95,101 @@ def test_table_json_and_determinism(capsys):
     }
 
 
+def _fresh(*argv, **kwargs):
+    """Run a fresh interpreter that imports the same fusionkit as this one."""
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs,
+    )
+
+
 def test_queries_do_not_import_the_sweeps():
-    # a fresh interpreter that imports the same fusionkit as this one
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
     code = "import sys, fusionkit.cli; print('fusionkit.verify' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    ).stdout
+    out = _fresh("-c", code, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_builds_no_parser():
+    code = "import fusionkit.cli as c; print(c._parser.cache_info().currsize)"
+    out = _fresh("-c", code, text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+def _reference_table(n, k, mu, max_size, fmt) -> str:
+    """The table built from the public ``fusion_expand``, one call per lambda."""
+    ctx = FusionContext(n, k)
+    rows = [
+        {"lambda": format_partition(la), "mu": format_partition(mu),
+         "nu": format_partition(nu), "n": n, "k": k, "N": value}
+        for size in range(max_size + 1)
+        for la in restricted_partitions_of(size, ctx)
+        for nu, value in fusion_expand(la, mu, ctx).items()
+    ]
+    rows.sort(key=lambda r: (r["lambda"], r["nu"]))
+    if fmt == "json":
+        return json.dumps({"schema": "fusionkit.table/1", "rows": rows}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["lambda", "mu", "nu", "n", "k", "N"])
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_table_bytes_equal_the_public_expansion(capsys):
+    # (2, 6) and (3, 6) add the six-column mu = (6,)
+    grid = [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)] + [(2, 6), (3, 6)]
+    queries = [
+        (n, k, mu)
+        for n, k in grid
+        for size in range(1, 7)
+        for mu in restricted_partitions_of(size, FusionContext(n, k))
+    ]
+    assert len(queries) == 134 and (6,) in {mu for _, _, mu in queries}
+    for n, k, mu in queries:
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(
+                capsys, "table", "--n", str(n), "--k", str(k),
+                "--mu", format_partition(mu), "--max-size", "4", "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            assert out == _reference_table(n, k, mu, 4, fmt), (n, k, mu, fmt)
+
+
+def test_one_process_serves_requests_like_fresh_ones():
+    # the parser and the caches persist between calls to main; no call may see another's state
+    table = ["table", "--n", "3", "--k", "2", "--mu", "2,1", "--max-size", "4", "--format", "csv"]
+    sequence = [
+        ["table", "--n", "3", "--k", "2", "--mu", "3,1"],  # span 3 > 2: input error
+        table,
+        ["fusion", "2,1", "2,1", "3,2,1", "--n", "3", "--k", "2"],
+        table,
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from fusionkit.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results.append([main(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    served = json.loads(_fresh("-c", script, json.dumps(sequence), check=True).stdout)
+    assert [code for code, _, _ in served] == [2, 0, 0, 0]
+    assert served[1] == served[3]
+    for argv, (code, out, err) in zip(sequence, served):
+        fresh = _fresh("-m", "fusionkit.cli", *argv)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+            code, out.encode(), err.encode()
+        ), argv
 
 
 def test_trace_lines_only_when_enabled():
     # the setting is read once, at import, so only a fresh interpreter sees it
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
     argv = [sys.executable, "-m", "fusionkit.cli", "fusion", "1", "2,1", "2,2",
             "--n", "3", "--k", "2", "--explain"]
     env = {key: value for key, value in os.environ.items() if key != "FUSIONKIT_TRACE"}
-    env["PYTHONPATH"] = str(src)
+    env["PYTHONPATH"] = str(SRC)
     quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
     traced = subprocess.run(
         argv, capture_output=True, text=True, env={**env, "FUSIONKIT_TRACE": "1"}
@@ -118,10 +201,10 @@ def test_trace_lines_only_when_enabled():
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(la, mu, ctx):
+    def broken(la, signed, ctx):
         raise RuntimeError("negative fusion coefficient")
 
-    monkeypatch.setattr(cli, "fusion_expand", broken)
+    monkeypatch.setattr(cli, "_fusion_row", broken)
     code, out, err = run_cli(capsys, "table", "--n", "2", "--k", "1", "--mu", "1")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""

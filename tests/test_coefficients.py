@@ -141,8 +141,19 @@ def test_fusion_expand_equals_oracle():
                                 nu: value
                                 for nu in restricted_supersets(la, mu_size, ctx)
                                 if (value := sum(t.sign for t in omega_terms(la, mu, nu, ctx)))
-                            } if mu else {la: 1}  # omega_terms lists no term for mu = ()
+                            }
                             assert fusion_expand(la, mu, ctx) == terms, (la, mu, ctx)
+
+
+def test_omega_terms_of_the_empty_shape():
+    # s_la s_() = s_la: one identity term with the empty path, at nu = la only
+    for ctx in (None, CTX32):
+        (term,) = omega_terms((2, 1), (), (2, 1, 0), ctx)
+        assert term.sigma == () and term.sign == 1
+        assert term.path.base == term.path.target == (2, 1) and term.path.steps == ()
+        assert list(omega_terms((2, 1), (), (3, 1), ctx)) == []
+    # at level 1, (2, 1) is not restricted, so not even the identity term is left
+    assert list(omega_terms((2, 1), (), (2, 1), FusionContext(3, 1))) == []
 
 
 def test_fusion_expand_single_wide_row():

@@ -1,6 +1,6 @@
 import pytest
 
-from fusionkit.coefficients import _fusion_row, omega_terms
+from fusionkit.coefficients import _fusion_row, _signed_compositions, omega_terms
 from fusionkit.partitions import FusionContext, _restricted
 from fusionkit.paths import boundary_shapes
 from fusionkit.verify import (
@@ -41,7 +41,7 @@ def test_unobstructed_counts_equal_the_boundary_walk():
             ctx = FusionContext(n, k)
             for la, mu, nus in _rows(ctx, _shapes(ctx, 7), 7):
                 chains = {}
-                _fusion_row(la, mu, ctx, chains)
+                _fusion_row(la, _signed_compositions(mu, n), ctx, chains)
                 for nu in nus:
                     walked = [
                         all(_restricted(s, ctx) for s in boundary_shapes(t.path))
