@@ -10,11 +10,14 @@ reuses one list.  ``fusion_expand`` is that row for one (la, mu),
 ``fusion_oracle`` reads one nu of it, and ``omega_terms`` lists the
 individual signed terms the involutions act on.  ``fusion_rule`` (path
 counting with the level correction) and ``fusion_tableaux`` (skew
-fillings with a lattice word) are the fast routes the sum certifies.
+fillings with a lattice word) are the fast routes the sum certifies;
+``fusion_tableaux`` and ``lr_lattice`` walk the same fillings
+(``_fillings``).
 
-Public functions validate their arguments; the private cores
-(``_fusion_row``, ``_fusion_rule``, ``_fusion_tableaux``, ``_lr_paths``)
-take normalized input that the caller has already checked.
+Public functions validate their arguments, the two fast routes through one
+guard (``_fast_route``); the private cores (``_fusion_row``,
+``_fusion_rule``, ``_fusion_tableaux``, ``_lr_paths``) take normalized
+input that the caller has already checked.
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ def _is_lattice(word, m: int) -> bool:
     return True
 
 
+def _fillings(la, nu, sizes):
+    """Each row-strict filling of nu/la whose i-entries form a vertical strip
+    of ``sizes[i - 1]`` boxes, as (entry by box, column reading word)."""
+    for strips in strip_chains(la, nu, sizes):
+        entry = {box: i for i, strip in enumerate(strips, start=1) for box in strip}
+        yield entry, [entry[b] for b in _reading_order(entry)]
+
+
 def lr_lattice(la, mu, nu) -> int:
     """The same coefficient as the number of row-strict fillings of nu/la
     with content mu' whose column reading word is lattice."""
@@ -102,18 +113,7 @@ def lr_lattice(la, mu, nu) -> int:
         return 0
     if not mu:
         return 1 if la == nu else 0
-    sizes = conjugate(mu)
-    m = len(sizes)
-    count = 0
-    for strips in strip_chains(la, nu, sizes):
-        entry = {}
-        for i, strip in enumerate(strips, start=1):
-            for box in strip:
-                entry[box] = i
-        word = [entry[b] for b in _reading_order(entry)]
-        if _is_lattice(word, m):
-            count += 1
-    return count
+    return sum(1 for _, word in _fillings(la, nu, _conjugate(mu)) if _is_lattice(word, mu[0]))
 
 
 def _pair_balanced(prev_strip, strip) -> bool:
@@ -132,15 +132,7 @@ def _pair_balanced(prev_strip, strip) -> bool:
 def _pair_lattice(prev_strip, strip) -> bool:
     """Reading-word prefix dominance for two consecutive strips."""
     boxes = {b: 1 for b in prev_strip} | {b: 2 for b in strip}
-    c1 = c2 = 0
-    for b in _reading_order(boxes):
-        if boxes[b] == 1:
-            c1 += 1
-        else:
-            c2 += 1
-            if c2 > c1:
-                return False
-    return True
+    return _is_lattice([boxes[b] for b in _reading_order(boxes)], 2)
 
 
 def _expand_all(la, nu, pair_ok) -> dict[tuple[int, ...], int]:
@@ -167,11 +159,6 @@ def lr_expand_lattice(la, nu) -> dict[tuple[int, ...], int]:
     return _expand_all(la, nu, _pair_lattice)
 
 
-def fusion_single_column(la, r: int, nu, ctx: FusionContext) -> int:
-    """1 when nu/la is an r-box vertical strip and nu is restricted."""
-    return sum(1 for _ in strip_chains(normalize(la), normalize(nu), (r,), ctx))
-
-
 def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
     """Level-k coefficient by path counting, for mu with at most two columns.
 
@@ -179,12 +166,19 @@ def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
     rows counts every restricted-boundary path (no level correction is
     needed there); otherwise the count is over k-fusion fitting paths.
     """
+    return _fast_route(_fusion_rule, la, mu, nu, ctx)
+
+
+def _fast_route(core, la, mu, nu, ctx: FusionContext) -> int:
+    """Validate the arguments of a fast route and call its private ``core``:
+    mu has at most two columns, and an unrestricted shape or a weight
+    mismatch gives 0."""
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     if mu and mu[0] > 2:
         raise UnsupportedShape(f"mu = {mu} has more than two columns")
     if not all(_restricted(p, ctx) for p in (la, mu, nu)) or not _weight_ok(la, mu, nu):
         return 0
-    return _fusion_rule(la, mu, nu, ctx)
+    return core(la, mu, nu, ctx)
 
 
 def _fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
@@ -229,12 +223,7 @@ def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
     whose column reading word is lattice and which satisfy the level wrap,
     minus the exceptional fillings picked out by five structural tests.
     """
-    la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if mu and mu[0] > 2:
-        raise UnsupportedShape(f"mu = {mu} has more than two columns")
-    if not all(_restricted(p, ctx) for p in (la, mu, nu)) or not _weight_ok(la, mu, nu):
-        return 0
-    return _fusion_tableaux(la, mu, nu, ctx)
+    return _fast_route(_fusion_tableaux, la, mu, nu, ctx)
 
 
 def _fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
@@ -244,20 +233,13 @@ def _fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
         return 1 if la == nu else 0
     mu_conj = _conjugate(mu)
     sizes = mu_conj + (0,) * (2 - len(mu_conj))
-    count = 0
-    for strips in strip_chains(la, nu, sizes):
-        entry = {}
-        for i, strip in enumerate(strips, start=1):
-            for box in strip:
-                entry[box] = i
-        if not _wrap_ok(entry, la, nu, ctx):
-            continue
-        word = [entry[b] for b in _reading_order(entry)]
-        if not _is_lattice(word, 2):
-            continue
-        if not _excluded_filling(entry, word, nu, ctx):
-            count += 1
-    return count
+    return sum(
+        1
+        for entry, word in _fillings(la, nu, sizes)
+        if _is_lattice(word, 2)
+        and _wrap_ok(entry, la, nu, ctx)
+        and not _excluded_filling(entry, word, nu, ctx)
+    )
 
 
 def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:

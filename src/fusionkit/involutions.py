@@ -101,13 +101,18 @@ def psi(term: SignedTerm, mu) -> SignedTerm:
     for _ in range(abs(d)):
         w = raise_e(w) if d > 0 else lower_f(w)
     _trace("psi moved", w)
-    return _replace_pair(term, r, w)
+    new_path, _ = _splice(path, r, w)
+    sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
+    return SignedTerm(sigma, new_path)
 
 
-def _replace_pair(term: SignedTerm, r: int, w: BracketWord) -> SignedTerm:
-    """Splice blocks r, r+1 of the term's path, rebuilt from a two-block
-    word, and swap r and r+1 in its permutation."""
-    path = term.path
+def _splice(path: LatticePath, r: int, w: BracketWord) -> tuple[LatticePath, tuple]:
+    """The path with blocks r, r+1 rebuilt from the two blocks of ``w``,
+    and the shapes at the new pair's three boundaries.
+
+    Only the pair is placed, from the shape where block r starts; raises
+    when the new pair does not end where the old one did.
+    """
     lo = sum(path.ascents[: r - 1])
     hi = lo + path.ascents[r - 1] + path.ascents[r]
     start = _walk(path.base, path.steps[:lo])
@@ -117,8 +122,7 @@ def _replace_pair(term: SignedTerm, r: int, w: BracketWord) -> SignedTerm:
         raise RuntimeError("rebuilt block pair does not reach the original shape")
     ascents = path.ascents[: r - 1] + (len(blocks[0]), len(blocks[1])) + path.ascents[r + 1 :]
     new_path = LatticePath(path.base, path.steps[:lo] + steps + path.steps[hi:], ascents)
-    sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
-    return SignedTerm(sigma, new_path)
+    return new_path, (start, *shapes)
 
 
 def _box_of_letter(path: LatticePath) -> dict[tuple[int, int], tuple[int, int]]:
@@ -182,14 +186,12 @@ def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
 
 
 def _rebuild_two_block(path: LatticePath, w: BracketWord, ctx: FusionContext) -> LatticePath:
-    blocks = (w.block(1), w.block(2))
-    steps, shapes = _place_blocks(path.base, blocks)
-    if shapes[-1] != path.target:
-        raise RuntimeError("rebuilt path changed its endpoint")
-    for shape in (path.base, *shapes):
+    """The two-block path rebuilt from ``w``; every boundary stays restricted."""
+    new_path, shapes = _splice(path, 1, w)
+    for shape in shapes:
         if not _restricted(shape, ctx):
             raise RuntimeError(f"rebuilt path leaves the restricted region at {shape}")
-    return LatticePath(path.base, steps, (len(blocks[0]), len(blocks[1])))
+    return new_path
 
 
 @dataclass(frozen=True, slots=True)

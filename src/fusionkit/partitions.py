@@ -131,9 +131,6 @@ def is_border(p, ctx: FusionContext) -> bool:
 
 def quotient(p, ctx: FusionContext) -> Partition:
     """Subtract the n-th part from the first n-1: the reduced label of p's class."""
-    p = normalize(p)
-    if len(p) > ctx.n:
-        raise ValueError(f"{p} has more than {ctx.n} parts")
     full = padded(p, ctx.n)
     return normalize(tuple(full[i] - full[-1] for i in range(ctx.n - 1)))
 

@@ -1,10 +1,11 @@
 """Exhaustive desk-scale verification sweeps with machine-readable reports.
 
 Each suite re-derives a family of identities by brute force and reports
-per-check pass/fail counts with counterexamples.  The signed sum is the
-reference throughout: the level sweeps take it one row per (la, mu), for
-every nu at once, and certify the fast routes against it; the classical
-sweep walks its individual terms.
+per-check pass/fail counts with counterexamples, each named by its check.
+The signed sum is the reference throughout: the level sweeps take it one
+row per (la, mu), for every nu at once, and certify the fast routes
+against it; both involution sweeps walk its individual terms
+(``omega_terms``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .coefficients import (
     lr_paths,
     omega_terms,
 )
-from .involutions import SignedTerm, in_D1, in_D2, phi, phi1, phi2, psi
+from .involutions import in_D1, in_D2, phi, phi1, phi2, psi
 from .partitions import (
     FusionContext,
     _conjugate,
@@ -43,7 +44,6 @@ from .partitions import (
     restricted_supersets,
     subpartitions,
 )
-from .paths import enumerate_paths
 from .words import _fits, fits
 
 MAX_COUNTEREXAMPLES = 10
@@ -62,7 +62,7 @@ class CheckResult:
     def record(self, ok: bool, **context) -> None:
         self.checked += 1
         if not ok and len(self.failures) < MAX_COUNTEREXAMPLES:
-            self.failures.append(context)
+            self.failures.append({"check": self.name, **context})
 
     def merge(self, other: "CheckResult") -> None:
         self.checked += other.checked
@@ -177,13 +177,7 @@ def classical_lr_checks(size_max: int) -> list[CheckResult]:
             keys = set(via_paths) | set(via_lattice)
             for mu in sorted(keys):
                 a, b = via_paths.get(mu, 0), via_lattice.get(mu, 0)
-                agree.record(
-                    a == b,
-                    check=agree.name,
-                    **_info(la, mu, nu),
-                    paths=a,
-                    lattice=b,
-                )
+                agree.record(a == b, **_info(la, mu, nu), paths=a, lattice=b)
     return [agree]
 
 
@@ -205,30 +199,18 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
                 total += term.sign
                 image = psi(term, mu)
                 back = psi(image, mu)
-                involution.record(
-                    back == term,
-                    check=involution.name,
-                    **info,
-                    sigma=list(term.sigma),
-                )
+                involution.record(back == term, **info, sigma=list(term.sigma))
                 if image == term:
                     fixed += 1
                     ok = tuple(term.sigma) == tuple(
                         range(1, len(term.sigma) + 1)
                     ) and fits(term.path, mu)
-                    fixed_points.record(
-                        ok, check=fixed_points.name, **info
-                    )
+                    fixed_points.record(ok, **info)
                 else:
-                    sign_flip.record(
-                        image.sign == -term.sign,
-                        check=sign_flip.name,
-                        **info,
-                    )
+                    sign_flip.record(image.sign == -term.sign, **info)
             expected = lr_paths(la, mu, nu)
             signed_sum.record(
                 total == expected and fixed == expected,
-                check=signed_sum.name,
                 **info,
                 signed=total,
                 fixed=fixed,
@@ -282,83 +264,40 @@ def _fusion_chunk(args) -> list[CheckResult]:
             info = _info(la, mu, nu, ctx)
             oracle = row.get(nu, 0)
             rule = _fusion_rule(la, mu, nu, ctx)
-            rule_eq.record(
-                rule == oracle, check=rule_eq.name, **info,
-                rule=rule, oracle=oracle,
-            )
+            rule_eq.record(rule == oracle, **info, rule=rule, oracle=oracle)
             tab = _fusion_tableaux(la, mu, nu, ctx)
-            tableaux_eq.record(
-                tab == rule, check=tableaux_eq.name, **info,
-                tableaux=tab, rule=rule,
-            )
+            tableaux_eq.record(tab == rule, **info, tableaux=tab, rule=rule)
             classical = _lr_paths(la, mu, nu)
-            bound.record(
-                oracle <= classical, check=bound.name, **info,
-                oracle=oracle, classical=classical,
-            )
+            bound.record(oracle <= classical, **info, oracle=oracle, classical=classical)
             if k >= sum(la) + sum(mu):
-                big_level.record(
-                    oracle == classical, check=big_level.name, **info,
-                    oracle=oracle, classical=classical,
-                )
+                big_level.record(oracle == classical, **info, oracle=oracle, classical=classical)
             held, every = chains.get(nu, (0, 0))
             if held == every:  # no chain of any term meets an unrestricted boundary
-                vacuous.record(
-                    oracle == classical, check=vacuous.name, **info,
-                    oracle=oracle, classical=classical,
-                )
+                vacuous.record(oracle == classical, **info, oracle=oracle, classical=classical)
             if mu[0] != 2 or len(mu) == ctx.n:
                 continue  # the involution acts on genuinely two-column shapes below n rows
             fixed = 0
-            for term in _omega_k_terms(la, mu_conj, nu, ctx):
+            for term in omega_terms(la, mu, nu, ctx):
                 image = phi(term, ctx, mu)
                 if image == term:
                     fixed += 1
                 else:
-                    sign_flip.record(
-                        image.sign == -term.sign,
-                        check=sign_flip.name, **info,
-                    )
-                involution.record(
-                    phi(image, ctx, mu) == term,
-                    check=involution.name, **info,
-                    sigma=list(term.sigma),
-                )
+                    sign_flip.record(image.sign == -term.sign, **info)
+                involution.record(phi(image, ctx, mu) == term, **info, sigma=list(term.sigma))
                 path = term.path
-                if path.ascents[0] < path.ascents[1] and in_D1(path, ctx):
+                if in_D1(path, ctx):
                     img = phi1(path, ctx)
-                    image_d2.record(
-                        in_D2(img, ctx).is_member,
-                        check=image_d2.name, **info,
-                    )
-                    round_trip_1.record(
-                        phi2(img, ctx) == path,
-                        check=round_trip_1.name, **info,
-                    )
+                    image_d2.record(in_D2(img, ctx).is_member, **info)
+                    round_trip_1.record(phi2(img, ctx) == path, **info)
                 if (
                     path.ascents[0] >= path.ascents[1]
                     and _fits(path, mu_conj)
                     and in_D2(path, ctx).is_member
                 ):
                     img = phi2(path, ctx)
-                    round_trip_2.record(
-                        in_D1(img, ctx) and phi1(img, ctx) == path,
-                        check=round_trip_2.name, **info,
-                    )
-            fixed_eq.record(
-                fixed == oracle, check=fixed_eq.name, **info,
-                fixed=fixed, oracle=oracle,
-            )
+                    round_trip_2.record(in_D1(img, ctx) and phi1(img, ctx) == path, **info)
+            fixed_eq.record(fixed == oracle, **info, fixed=fixed, oracle=oracle)
     return checks
-
-
-def _omega_k_terms(la, mu_conj, nu, ctx: FusionContext):
-    """The level-k signed terms for a two-column mu with column lengths ``mu_conj``."""
-    for path in enumerate_paths(la, nu, mu_conj, ctx):
-        yield SignedTerm((1, 2), path)
-    swapped = (mu_conj[1] - 1, mu_conj[0] + 1)
-    for path in enumerate_paths(la, nu, swapped, ctx):
-        yield SignedTerm((2, 1), path)
 
 
 def fusion_involution_checks(
@@ -379,11 +318,7 @@ def _monotone_chunk(args) -> list[CheckResult]:
         for nu in nus:
             low, high = low_row.get(nu, 0), high_row.get(nu, 0)
             monotone.record(
-                low <= high,
-                check=monotone.name,
-                **_info(la, mu, nu, ctx),
-                at_level=low,
-                at_next_level=high,
+                low <= high, **_info(la, mu, nu, ctx), at_level=low, at_next_level=high
             )
     return [monotone]
 
@@ -401,9 +336,7 @@ def _duality_chunk(args) -> list[CheckResult]:
     for mu in mus:
         if n >= 3 and len(mu) <= 2:
             dual_conjugate.record(
-                rank_level_dual(mu, ctx) == conjugate(mu),
-                check=dual_conjugate.name,
-                **_info((), mu, (), ctx),
+                rank_level_dual(mu, ctx) == conjugate(mu), **_info((), mu, (), ctx)
             )
     signed = {mu: _signed_compositions(mu, n) for mu in mus}
     dual_signed = {mu: _signed_compositions(rank_level_dual(mu, ctx), k) for mu in mus}
@@ -412,13 +345,8 @@ def _duality_chunk(args) -> list[CheckResult]:
         dual_row = _fusion_row(rank_level_dual(la, ctx), dual_signed[mu], ctx.dual())
         for nu in nus:
             lhs, rhs = row.get(nu, 0), dual_row.get(rank_level_dual(nu, ctx), 0)
-            invariance.record(
-                lhs == rhs,
-                check=invariance.name,
-                **_info(la, mu, nu, ctx),
-                value=lhs,
-                dual_value=rhs,
-            )
+            info = _info(la, mu, nu, ctx)
+            invariance.record(lhs == rhs, **info, value=lhs, dual_value=rhs)
     return [invariance, dual_conjugate]
 
 
@@ -435,12 +363,7 @@ def _identity_chunk(args) -> list[CheckResult]:
         for extra in range(0, skew_max + 1):
             for nu in restricted_supersets(la, extra, ctx):
                 lhs, rhs = _path_identity_sides(la, nu, ctx, rows)
-                identity.record(
-                    lhs == rhs,
-                    check=identity.name,
-                    **_info(la, (), nu, ctx),
-                    lhs=lhs,
-                )
+                identity.record(lhs == rhs, **_info(la, (), nu, ctx), lhs=lhs)
     return [identity]
 
 

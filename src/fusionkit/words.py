@@ -92,10 +92,7 @@ def raise_e(w: BracketWord) -> BracketWord:
     rights = [i for i in w.unpaired() if w.letters[i][1] == 2]
     if not rights:
         raise ValueError("raising operator undefined: no unpaired right parenthesis")
-    i = rights[-1]
-    letters = list(w.letters)
-    letters[i] = (letters[i][0], 1)
-    return _from_letters(letters)
+    return flip_positions(w, [rights[-1]])
 
 
 def lower_f(w: BracketWord) -> BracketWord:
@@ -103,10 +100,7 @@ def lower_f(w: BracketWord) -> BracketWord:
     lefts = [i for i in w.unpaired() if w.letters[i][1] == 1]
     if not lefts:
         raise ValueError("lowering operator undefined: no unpaired left parenthesis")
-    i = lefts[0]
-    letters = list(w.letters)
-    letters[i] = (letters[i][0], 2)
-    return _from_letters(letters)
+    return flip_positions(w, [lefts[0]])
 
 
 def flip_positions(w: BracketWord, positions) -> BracketWord:

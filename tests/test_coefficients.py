@@ -6,7 +6,6 @@ from fusionkit.coefficients import (
     fusion_expand,
     fusion_oracle,
     fusion_rule,
-    fusion_single_column,
     fusion_tableaux,
     gepner_witten,
     lr_expand_lattice,
@@ -62,13 +61,6 @@ def test_expanders_match_single_queries():
                 assert via_lattice.get(mu, 0) == lr_lattice(la, mu, nu)
 
 
-def test_single_column_indicator():
-    assert fusion_single_column((1,), 2, (2, 1), CTX32) == 1
-    assert fusion_single_column((1,), 2, (2, 1), FusionContext(3, 1)) == 0
-    assert fusion_single_column((1,), 4, (2, 1, 1, 1), CTX32) == 0  # r > n
-    assert fusion_single_column((1,), 2, (3,), CTX32) == 0  # not a strip
-
-
 def test_fusion_at_su3_level_two():
     # adjoint times adjoint: one singlet-class and one adjoint-class term
     table = fusion_expand((2, 1), (2, 1), CTX32)
@@ -79,15 +71,23 @@ def test_fusion_at_su3_level_two():
 
 
 def test_fusion_handles_unrestricted_target():
-    assert fusion_rule((2, 1), (2, 1), (4, 2), CTX32) == 0
     assert fusion_oracle((2, 1), (2, 1), (4, 2), CTX32) == 0
+    # both fast routes pass through one guard before their cores
+    for route in (fusion_rule, fusion_tableaux):
+        assert route((2, 1), (2, 1), (4, 2), CTX32) == 0  # nu unrestricted
+        assert route((1,), (1, 1), (2, 1), FusionContext(3, 1)) == 0  # nu spans 2 > k
+        assert route((1,), (1, 1, 1, 1), (2, 1, 1, 1), CTX32) == 0  # mu has more than n rows
+        assert route((1,), (1, 1), (2, 2), CTX32) == 0  # weight mismatch
+        assert route((1,), (1, 1), (2, 1), CTX32) == 1  # a vertical strip
+        assert route((1,), (1, 1), (3,), FusionContext(3, 3)) == 0  # not a vertical strip
 
 
 def test_fusion_rejects_wide_shapes():
-    with pytest.raises(UnsupportedShape):
-        fusion_rule((1,), (3, 2, 1), (3, 2, 1, 1), FusionContext(4, 3))
-    with pytest.raises(UnsupportedShape):
-        fusion_tableaux((1,), (3, 2, 1), (3, 2, 1, 1), FusionContext(4, 3))
+    for route in (fusion_rule, fusion_tableaux):
+        with pytest.raises(UnsupportedShape):
+            route((1,), (3, 2, 1), (3, 2, 1, 1), FusionContext(4, 3))
+        with pytest.raises(UnsupportedShape):  # before the restriction and weight tests
+            route((1,), (3,), (5,), FusionContext(2, 1))
 
 
 def test_fusion_oracle_values():

@@ -6,7 +6,14 @@ import pkgutil
 import pytest
 
 import fusionkit
-from fusionkit import FusionContext, LatticePath, enumerate_paths, fusion_rule, is_restricted
+from fusionkit import (
+    FusionContext,
+    LatticePath,
+    enumerate_paths,
+    fusion_rule,
+    fusion_tableaux,
+    is_restricted,
+)
 
 
 def test_all_matches_public_imports():
@@ -33,14 +40,16 @@ def test_public_entry_points_normalize_and_validate():
     assert padded_paths == enumerate_paths((1,), (2, 1), (1, 1))
     assert len(padded_paths) == 2
     assert all(p.base == (1,) and p.target == (2, 1) for p in padded_paths)
-    assert fusion_rule((1, 0), (2, 1, 0), (2, 2, 0), ctx) == 1
+    for route in (fusion_rule, fusion_tableaux):
+        assert route((1, 0), (2, 1, 0), (2, 2, 0), ctx) == route((1,), (2, 1), (2, 2), ctx) == 1
     assert LatticePath((1, 0), ((1, 2),), (1,)).target == (2,)
     with pytest.raises(ValueError):
         is_restricted((1, 2), ctx)
     with pytest.raises(ValueError):
         enumerate_paths((1, 2), (2, 2), (1,))
-    with pytest.raises(ValueError):
-        fusion_rule((1,), (1, 2), (2, 2), ctx)
+    for route in (fusion_rule, fusion_tableaux):
+        with pytest.raises(ValueError):
+            route((1,), (1, 2), (2, 2), ctx)
     with pytest.raises(ValueError):
         LatticePath((1, 2), (), ())
 
@@ -60,3 +69,35 @@ def test_module_caches_are_bounded():
     assert "fusionkit.paths.enumerate_paths" in caches
     for name, info in caches.items():
         assert info.maxsize is not None, name
+
+
+def test_no_unused_imports_or_private_names():
+    # what a deleted helper leaves behind: an unused import or an unreferenced private name
+    package = pathlib.Path(fusionkit.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set()
+    for module, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        referenced |= loaded | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        if module == "__init__":
+            continue  # its imports are the public names
+        for node in nodes:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in loaded, f"fusionkit.{module} imports {name} and never uses it"
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    assert name in referenced, f"fusionkit.{module}.{name} is never referenced"

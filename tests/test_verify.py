@@ -4,6 +4,9 @@ from fusionkit.coefficients import _fusion_row, _signed_compositions, omega_term
 from fusionkit.partitions import FusionContext, _restricted
 from fusionkit.paths import boundary_shapes
 from fusionkit.verify import (
+    MAX_COUNTEREXAMPLES,
+    CheckResult,
+    Report,
     _grid,
     _mu_units,
     _rows,
@@ -52,3 +55,23 @@ def test_unobstructed_counts_equal_the_boundary_walk():
                     assert (held == every) == all(walked)
                     seen.add(all(walked))
     assert seen == {False, True}
+
+
+def test_failed_records_name_their_check():
+    check = CheckResult("some_identity")
+    check.record(True, n=2)
+    for value in range(MAX_COUNTEREXAMPLES + 3):
+        check.record(False, n=2, value=value)
+    assert check.checked == MAX_COUNTEREXAMPLES + 4
+    assert check.failures == [
+        {"check": "some_identity", "n": 2, "value": value} for value in range(MAX_COUNTEREXAMPLES)
+    ]
+    # a call site that names the check itself writes the same report
+    named = CheckResult("some_identity")
+    named.record(True, check="some_identity", n=2)
+    for value in range(MAX_COUNTEREXAMPLES + 3):
+        named.record(False, check="some_identity", n=2, value=value)
+    assert named.failures == check.failures
+    reports = [Report("all", {"n_max": 2}, [c], 0.5) for c in (check, named)]
+    assert not reports[0].ok
+    assert reports[0].to_json() == reports[1].to_json()
