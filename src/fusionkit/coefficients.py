@@ -41,7 +41,7 @@ from .partitions import (
     restricted_partitions_of,
 )
 from .paths import enumerate_paths, strip_chain_counts, strip_chains
-from .words import _fits
+from .words import _fits, word_of, word_type
 
 
 class UnsupportedShape(ValueError):
@@ -118,15 +118,8 @@ def lr_lattice(la, mu, nu) -> int:
 
 def _pair_balanced(prev_strip, strip) -> bool:
     """No unpaired right parenthesis in the bracket word of two strips."""
-    letters = sorted(
-        [(b[1] - b[0], 1) for b in prev_strip] + [(b[1] - b[0], 2) for b in strip]
-    )
-    depth = 0
-    for _, blk in letters:
-        depth += 1 if blk == 1 else -1
-        if depth < 0:
-            return False
-    return True
+    first, second = ([col - row for row, col in s] for s in (prev_strip, strip))
+    return word_type(word_of(first, second))[1] == 0
 
 
 def _pair_lattice(prev_strip, strip) -> bool:

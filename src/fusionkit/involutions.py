@@ -4,7 +4,10 @@
 paths.  At level k it breaks down on one exceptional family of two-block
 paths (domain D1) where the raising move would push the intermediate
 shape past the level bound; ``phi1`` and its inverse ``phi2`` repair
-exactly that family, and ``phi`` dispatches between the two.
+exactly that family, and ``phi`` dispatches between the two.  The D1 and
+D2 tests read a two-block path once, as its pair word with the box of
+each letter, and work out the phi1 or phi2 move as they decide; phi
+rebuilds from that move.
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ from dataclasses import dataclass, field
 
 from .partitions import FusionContext, _conjugate, _restricted, is_edge, normalize, perm_sign
 from .paths import (
+    Box,
     LatticePath,
     PathTableau,
     _place_blocks,
     _walk,
-    block_boxes,
-    block_has_bot,
-    block_has_top,
     boundary_shapes,
     path_to_tableau,
 )
@@ -125,19 +126,42 @@ def _splice(path: LatticePath, r: int, w: BracketWord) -> tuple[LatticePath, tup
     return new_path, (start, *shapes)
 
 
-def _box_of_letter(path: LatticePath) -> dict[tuple[int, int], tuple[int, int]]:
-    """Map (label, block) -> box for a two-block path."""
-    out = {}
-    for blk in (1, 2):
-        for box in block_boxes(path, blk):
-            out[(box[1] - box[0], blk)] = box
-    return out
+def _read(path: LatticePath) -> tuple[BracketWord, list[Box]]:
+    """The pair word of a two-block path and the box of each letter, in word order.
+
+    Within a block the labels decrease along the steps, so each block's
+    boxes, read backwards, meet the word's letters of that block in order.
+    """
+    w = pair_word(path, 1)
+    p = path.ascents[0]
+    first, second = reversed(path.steps[:p]), reversed(path.steps[p:])
+    return w, [next(first if blk == 1 else second) for _, blk in w.letters]
 
 
-def _letter_positions_in_column(path: LatticePath, w: BracketWord, col: int) -> list[int]:
-    """Word positions whose boxes sit in the given column, bottom to top."""
-    boxes = _box_of_letter(path)
-    return [i for i, let in enumerate(w.letters) if boxes[let][1] == col]
+def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
+    """(word, phi1 image, kept position) for a path in D1, else None.
+
+    The word is read only after the checks that the steps and the target
+    decide on their own.
+    """
+    if len(path.ascents) != 2 or path.ascents[0] >= path.ascents[1]:
+        return None
+    p = path.ascents[0]
+    rows = [row for row, _ in path.steps]
+    if 1 in rows[:p] or ctx.n in rows[:p] or 1 not in rows[p:] or ctx.n not in rows[p:]:
+        return None
+    nu = path.target
+    if not is_edge(nu, ctx):
+        return None
+    w, boxes = _read(path)
+    # the one first-row box is the second block's: a strip has one box a row
+    if w.partner[next(i for i, box in enumerate(boxes) if box[0] == 1)] is not None:
+        return None
+    kept = next(i for i, box in enumerate(boxes) if box[1] == nu[0] and w.partner[i] is None)
+    flips = [i for i in w.unpaired() if i != kept]
+    if any(w.letters[i][1] != 2 for i in flips):
+        raise RuntimeError("unpaired first-block letter in the exceptional domain")
+    return w, flip_positions(w, flips), kept
 
 
 def in_D1(path: LatticePath, ctx: FusionContext) -> bool:
@@ -147,20 +171,7 @@ def in_D1(path: LatticePath, ctx: FusionContext) -> bool:
     first-row and the row-n step while the first block carries neither,
     and the first-row letter is unpaired.
     """
-    if len(path.ascents) != 2 or path.ascents[0] >= path.ascents[1]:
-        return False
-    if not is_edge(path.target, ctx):
-        return False
-    if not (block_has_bot(path, 2) and block_has_top(path, 2, ctx)):
-        return False
-    if block_has_bot(path, 1) or block_has_top(path, 1, ctx):
-        return False
-    w = pair_word(path, 1)
-    bot_label = max(
-        box[1] - box[0] for box in block_boxes(path, 2) if box[0] == 1
-    )
-    pos = w.letters.index((bot_label, 2))
-    return w.partner[pos] is None
+    return _d1_move(path, ctx) is not None
 
 
 def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
@@ -170,24 +181,18 @@ def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
     column; keeping it is what holds the intermediate shape inside the
     level bound when the first-row and row-n letters migrate.
     """
-    if not in_D1(path, ctx):
-        raise ValueError("phi1 applied outside its domain")
-    w = pair_word(path, 1)
-    nu = path.target
-    a_positions = _letter_positions_in_column(path, w, nu[0])
-    kept = next(i for i in a_positions if w.partner[i] is None)
-    _trace("phi1 word", w, kept)
-    flips = [i for i in w.unpaired() if i != kept]
-    if any(w.letters[i][1] != 2 for i in flips):
-        raise RuntimeError("unpaired first-block letter in the exceptional domain")
-    new_w = flip_positions(w, flips)
-    _trace("phi1 image", new_w, kept)
-    return _rebuild_two_block(path, new_w, ctx)
+    return _apply("phi1", path, _d1_move(path, ctx), ctx)
 
 
-def _rebuild_two_block(path: LatticePath, w: BracketWord, ctx: FusionContext) -> LatticePath:
-    """The two-block path rebuilt from ``w``; every boundary stays restricted."""
-    new_path, shapes = _splice(path, 1, w)
+def _apply(name: str, path: LatticePath, move, ctx: FusionContext) -> LatticePath:
+    """The two-block path rebuilt from the image word of a phi1 or phi2
+    move; every boundary stays restricted."""
+    if move is None:
+        raise ValueError(f"{name} applied outside its domain")
+    w, image, mark = move
+    _trace(f"{name} word", w, mark)
+    _trace(f"{name} image", image, mark)
+    new_path, shapes = _splice(path, 1, image)
     for shape in shapes:
         if not _restricted(shape, ctx):
             raise RuntimeError(f"rebuilt path leaves the restricted region at {shape}")
@@ -222,55 +227,42 @@ class D2Certificate:
         return self.column_strict and self.structure_ok and self.last_column_ok and self.top_ok
 
 
-def in_D2(path: LatticePath, ctx: FusionContext) -> D2Certificate:
-    """Evaluate D2 membership for a two-block path with |P1| >= |P2|."""
+def _d2(path: LatticePath, ctx: FusionContext) -> tuple[D2Certificate, tuple | None]:
+    """The D2 certificate, and for a member the phi2 move (word, image,
+    position of the kept last-column letter)."""
     if len(path.ascents) != 2 or not path.ascents[0] >= path.ascents[1] > 0:
         raise ValueError("D2 is defined for two nonempty blocks with the first at least as long")
-    w = pair_word(path, 1)
+    p = path.ascents[0]
     nu = path.target
+    w, boxes = _read(path)
     column_strict = word_type(w)[1] == 0  # fits(path, conjugate(ascents)): one block pair
 
-    bot_boxes = [b for b in path.steps if b[0] == 1]
-    top_boxes = [b for b in path.steps if b[0] == ctx.n]
-    top_in_first = bool(top_boxes) and all(
-        b in block_boxes(path, 1) for b in top_boxes
-    )
+    rows = [row for row, _ in path.steps]
     structure_ok = (
-        is_edge(nu, ctx)
-        and len(bot_boxes) == 1
-        and len(top_boxes) == 1
-        and top_in_first
+        is_edge(nu, ctx) and rows.count(1) == 1 and rows.count(ctx.n) == 1 and ctx.n in rows[:p]
     )
 
-    a_positions = _letter_positions_in_column(path, w, nu[0] if nu else 0)
+    a_positions = [i for i, box in enumerate(boxes) if box[1] == nu[0]]  # bottom to top
     a_labels = tuple(w.letters[i][0] for i in a_positions)
     second_block = [i for i in a_positions if w.letters[i][1] == 2]
-    a_i0_pos = max(second_block) if second_block else None
+    a_i0_pos = second_block[-1] if second_block else None
     a1_neighbor = None
-    last_column_ok = False
-    if a_i0_pos is not None:
-        last_column_ok = True
-        boxes = _box_of_letter(path)
-        bottom = boxes[w.letters[a_positions[0]]]
-        neighbor_box = (bottom[0], bottom[1] - 1)
-        for i, let in enumerate(w.letters):
-            if boxes[let] == neighbor_box:
-                a1_neighbor = let[0]
-                if w.partner[a_i0_pos] == i:
-                    last_column_ok = False
-                break
+    last_column_ok = a_i0_pos is not None
+    if last_column_ok:
+        row, col = boxes[a_positions[0]]
+        if (row, col - 1) in boxes:
+            i = boxes.index((row, col - 1))
+            a1_neighbor = w.letters[i][0]
+            last_column_ok = w.partner[a_i0_pos] != i
 
-    partner0 = w.partner[0] if w.letters else None
-    top_ok = bool(w.letters) and (
-        (w.letters[0][1] == 1 and partner0 is None)
-        or (a_i0_pos is not None and partner0 == a_i0_pos)
+    # both blocks are nonempty, so the word has a first letter
+    top_ok = (w.letters[0][1] == 1 and w.partner[0] is None) or (
+        a_i0_pos is not None and w.partner[0] == a_i0_pos
     )
 
-    b_i0 = None
-    if a_i0_pos is not None and w.partner[a_i0_pos] is not None:
-        b_i0 = w.letters[w.partner[a_i0_pos]][0]
+    b_i0_pos = w.partner[a_i0_pos] if a_i0_pos is not None else None
     _trace("membership word", w, a_i0_pos)
-    return D2Certificate(
+    cert = D2Certificate(
         column_strict=column_strict,
         structure_ok=structure_ok,
         last_column_ok=last_column_ok,
@@ -278,28 +270,24 @@ def in_D2(path: LatticePath, ctx: FusionContext) -> D2Certificate:
         a_labels=a_labels,
         a_i0=w.letters[a_i0_pos][0] if a_i0_pos is not None else None,
         a1_neighbor=a1_neighbor,
-        b_i0=b_i0,
+        b_i0=w.letters[b_i0_pos][0] if b_i0_pos is not None else None,
     )
+    if not cert.is_member:
+        return cert, None
+    # a column-strict word pairs every right parenthesis, the kept letter's too
+    flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [b_i0_pos]
+    return cert, (w, flip_positions(w, flips), a_i0_pos)
+
+
+def in_D2(path: LatticePath, ctx: FusionContext) -> D2Certificate:
+    """Evaluate D2 membership for a two-block path with |P1| >= |P2|."""
+    return _d2(path, ctx)[0]
 
 
 def phi2(path: LatticePath, ctx: FusionContext) -> LatticePath:
     """Inverse of phi1: move the unpaired first-block letters back, plus
     the partner of the kept last-column letter."""
-    cert = in_D2(path, ctx)
-    if not cert.is_member:
-        raise ValueError("phi2 applied outside its domain")
-    w = pair_word(path, 1)
-    nu = path.target
-    a_positions = _letter_positions_in_column(path, w, nu[0])
-    a_i0_pos = max(i for i in a_positions if w.letters[i][1] == 2)
-    b_i0_pos = w.partner[a_i0_pos]
-    if b_i0_pos is None:
-        raise RuntimeError("kept letter of a column-strict word must be paired")
-    _trace("phi2 word", w, a_i0_pos)
-    flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [b_i0_pos]
-    new_w = flip_positions(w, flips)
-    _trace("phi2 image", new_w)
-    return _rebuild_two_block(path, new_w, ctx)
+    return _apply("phi2", path, _d2(path, ctx)[1], ctx)
 
 
 def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
@@ -313,18 +301,21 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
     path = term.path
     if len(path.ascents) != 2:
         raise ValueError("the level-k involution acts on two-block terms")
-    p, q = path.ascents
     swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)
-    if p < q:
-        if in_D1(path, ctx):
-            return SignedTerm(swap, phi1(path, ctx))
-        result = psi(term, mu)
-    elif _fits(path, _conjugate(mu)):
-        if in_D2(path, ctx).is_member:
-            return SignedTerm(swap, phi2(path, ctx))
-        return term
+    if path.ascents[0] < path.ascents[1]:
+        move = _d1_move(path, ctx)
+        if move is not None:
+            return SignedTerm(swap, _apply("phi1", path, move, ctx))
     else:
-        result = psi(term, mu)
+        mu_conj = _conjugate(mu)
+        if path.ascents != mu_conj:
+            raise ValueError(f"ascents {path.ascents} do not match column lengths {mu_conj}")
+        cert, move = _d2(path, ctx)
+        if move is not None:
+            return SignedTerm(swap, _apply("phi2", path, move, ctx))
+        if cert.column_strict:
+            return term
+    result = psi(term, mu)
     for shape in boundary_shapes(result.path):
         if not _restricted(shape, ctx):
             raise RuntimeError("classical move left the restricted region")
@@ -336,6 +327,4 @@ def is_k_fusion(path: LatticePath, ctx: FusionContext, mu) -> bool:
     mu = normalize(mu)
     if any(not _restricted(s, ctx) for s in boundary_shapes(path)):
         return False
-    if not _fits(path, _conjugate(mu)):
-        return False
-    return not in_D2(path, ctx).is_member
+    return _fits(path, _conjugate(mu)) and not in_D2(path, ctx).is_member

@@ -10,7 +10,7 @@ tuples that are already normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
+from operator import le, lt
 
 Partition = tuple[int, ...]
 
@@ -257,24 +257,9 @@ def restricted_partitions_of(total: int, ctx: FusionContext):
 
 
 def restricted_supersets(la, extra: int, ctx: FusionContext):
-    """Restricted partitions obtained from la by adding ``extra`` boxes."""
+    """Restricted partitions obtained from la by adding ``extra`` boxes,
+    in increasing lexicographic order."""
     la = normalize(la)
-    lo = padded(la, ctx.n)
-
-    def rec(i, remaining, cap, prefix):
-        if i == ctx.n:
-            if remaining == 0:
-                q = normalize(prefix)
-                if _restricted(q, ctx):
-                    yield q
-            return
-        # part i must cover lo[i], stay <= cap, and leave enough room
-        for part in range(lo[i], cap + 1):
-            add = part - lo[i]
-            if add > remaining:
-                break
-            prefix.append(part)
-            yield from rec(i + 1, remaining - add, part, prefix)
-            prefix.pop()
-
-    yield from rec(0, extra, (lo[0] if lo else 0) + extra, [])
+    candidates = list(restricted_partitions_of(sum(la) + extra, ctx))
+    # containment compared directly: both sides are normalized
+    return (q for q in reversed(candidates) if len(la) <= len(q) and all(map(le, la, q)))

@@ -111,12 +111,6 @@ def _walk(shape, boxes) -> Partition:
     return shape
 
 
-def block_boxes(path: LatticePath, i: int) -> tuple[Box, ...]:
-    """Boxes of 1-indexed block i."""
-    lo = sum(path.ascents[: i - 1])
-    return path.steps[lo : lo + path.ascents[i - 1]]
-
-
 def boundary_shapes(path: LatticePath) -> tuple[Partition, ...]:
     """Shapes at block boundaries, from base to target inclusive."""
     shapes = [path.base]
@@ -144,16 +138,6 @@ def path_to_tableau(path: LatticePath) -> PathTableau:
         columns.append(tuple(col - row for row, col in path.steps[pos : pos + a]))
         pos += a
     return PathTableau(tuple(columns))
-
-
-def block_has_bot(path: LatticePath, i: int) -> bool:
-    """True when block i adds a box in the first row."""
-    return any(row == 1 for row, _ in block_boxes(path, i))
-
-
-def block_has_top(path: LatticePath, i: int, ctx: FusionContext) -> bool:
-    """True when block i adds a box in row n."""
-    return any(row == ctx.n for row, _ in block_boxes(path, i))
 
 
 def _place_blocks(shape, label_blocks) -> tuple[tuple[Box, ...], list[Partition]]:

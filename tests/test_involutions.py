@@ -23,7 +23,6 @@ from fusionkit.partitions import (
 )
 from fusionkit.paths import (
     add_box,
-    block_has_bot,
     boundary_shapes,
     enumerate_paths,
     path_from_label_blocks,
@@ -143,11 +142,12 @@ def test_psi_rejects_balanced_gap():
 
 
 def test_phi_splice_equals_a_full_rebuild():
-    exceptional = 0
+    # also pins phi's dispatch: on D1 it is phi1, on a fitting D2 member phi2
+    d1 = d2 = 0
     for n in range(2, 5):
         for k in range(1, 4):
             ctx = FusionContext(n, k)
-            for nu in partitions_up_to(7, max_len=n):
+            for nu in partitions_up_to(8, max_len=n):
                 if not is_restricted(nu, ctx):
                     continue
                 for la in subpartitions(nu):
@@ -155,9 +155,17 @@ def test_phi_splice_equals_a_full_rebuild():
                         if mu[:1] != (2,) or len(mu) == n or not is_restricted(la, ctx):
                             continue
                         for term in omega_terms(la, mu, nu, ctx):
-                            _assert_rebuilt_from_scratch(phi(term, ctx, mu).path)
-                            exceptional += in_D1(term.path, ctx)
-    assert exceptional > 10
+                            image = phi(term, ctx, mu).path
+                            _assert_rebuilt_from_scratch(image)
+                            path = term.path
+                            if in_D1(path, ctx):
+                                d1 += 1
+                                assert image == phi1(path, ctx)
+                            elif path.ascents[0] >= path.ascents[1] and fits(path, mu):
+                                if in_D2(path, ctx).is_member:
+                                    d2 += 1
+                                    assert image == phi2(path, ctx)
+    assert d1 == d2 > 10  # phi1 and phi2 trade the two domains one for one
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +287,10 @@ def test_bot_letters_pair_when_both_blocks_touch_first_row():
             rest = sum(nu) - sum(la)
             for a in range(1, rest):
                 for p in enumerate_paths(la, nu, (a, rest - a)):
-                    if not (block_has_bot(p, 1) and block_has_bot(p, 2)):
+                    if not (
+                        any(row == 1 for row, _ in p.steps[:a])
+                        and any(row == 1 for row, _ in p.steps[a:])
+                    ):
                         continue
                     w = pair_word(p, 1)
                     bots = [

@@ -72,7 +72,8 @@ def test_module_caches_are_bounded():
 
 
 def test_no_unused_imports_or_private_names():
-    # what a deleted helper leaves behind: an unused import or an unreferenced private name
+    # what a deleted helper leaves behind: an unused import or an unreferenced private
+    # name, or a public routine of the core layers that nothing exports or reads
     package = pathlib.Path(fusionkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     referenced = set()
@@ -89,6 +90,8 @@ def test_no_unused_imports_or_private_names():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     assert name in loaded, f"fusionkit.{module} imports {name} and never uses it"
+    core = {"partitions", "paths", "words", "involutions", "coefficients"}
+    exported = set(fusionkit.__all__)
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -101,3 +104,7 @@ def test_no_unused_imports_or_private_names():
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     assert name in referenced, f"fusionkit.{module}.{name} is never referenced"
+                elif module in core and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert name in exported | referenced, (
+                        f"fusionkit.{module}.{name} is neither exported nor read in src"
+                    )

@@ -14,8 +14,6 @@ from fusionkit.partitions import (
 from fusionkit.paths import (
     LatticePath,
     _strip_successors,
-    block_has_bot,
-    block_has_top,
     diagonal_label,
     enumerate_paths,
     path_from_label_blocks,
@@ -65,17 +63,8 @@ def test_path_to_tableau():
     p2 = path_from_label_blocks((), [(0, -1), (1,)])
     assert path_to_tableau(p2).columns == ((0, -1), (1,))
 
-
-def test_block_has_bot_and_top():
-    ctx = FusionContext(3, 2)
-    p = path_from_label_blocks((2, 1), [(2,), (-2,)])
-    assert p.steps == ((1, 3), (3, 1))
-    assert block_has_bot(p, 1)
-    assert not block_has_top(p, 1, ctx)
-    assert block_has_top(p, 2, ctx)
-    assert not block_has_bot(p, 2)
-    mid = path_from_label_blocks((2, 1), [(0,)])
-    assert not block_has_bot(mid, 1) and not block_has_top(mid, 1, ctx)
+    # each label lands on the one addable box of its diagonal
+    assert path_from_label_blocks((2, 1), [(2,), (-2,)]).steps == ((1, 3), (3, 1))
 
 
 def test_decreasing_path_counts_are_indicators():
