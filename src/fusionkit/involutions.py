@@ -6,8 +6,9 @@ paths (domain D1) where the raising move would push the intermediate
 shape past the level bound; ``phi1`` and its inverse ``phi2`` repair
 exactly that family, and ``phi`` dispatches between the two.  The D1 and
 D2 tests read a two-block path once, as its pair word with the box of
-each letter, and work out the phi1 or phi2 move as they decide; phi
-rebuilds from that move.
+each letter, and work out the phi1 or phi2 move as they decide.  Off both
+domains phi takes psi's move instead, and every move of phi is rebuilt
+through one splice that checks the three boundaries of the new path.
 """
 
 from __future__ import annotations
@@ -93,18 +94,25 @@ def psi(term: SignedTerm, mu) -> SignedTerm:
         if tuple(term.sigma) != tuple(range(1, len(term.sigma) + 1)):
             raise RuntimeError("column-strict arrangement with a non-identity permutation")
         return term
+    w, image, _ = _psi_move(path, r)
+    _trace(f"psi pair ({r},{r + 1})", w)
+    _trace("psi moved", image)
+    new_path, _ = _splice(path, r, image)
+    sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
+    return SignedTerm(sigma, new_path)
+
+
+def _psi_move(path: LatticePath, r: int) -> tuple:
+    """(word, image, None): the pair word of blocks r, r+1 raised or lowered
+    until the two blocks trade sizes."""
     sizes = path.ascents
     d = sizes[r] - sizes[r - 1] - 1
     if d == 0:
         raise RuntimeError("adjacent blocks differ by exactly one box at a violation")
-    w = pair_word(path, r)
-    _trace(f"psi pair ({r},{r + 1})", w)
+    w = image = pair_word(path, r)
     for _ in range(abs(d)):
-        w = raise_e(w) if d > 0 else lower_f(w)
-    _trace("psi moved", w)
-    new_path, _ = _splice(path, r, w)
-    sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
-    return SignedTerm(sigma, new_path)
+        image = raise_e(image) if d > 0 else lower_f(image)
+    return w, image, None
 
 
 def _splice(path: LatticePath, r: int, w: BracketWord) -> tuple[LatticePath, tuple]:
@@ -185,8 +193,8 @@ def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
 
 
 def _apply(name: str, path: LatticePath, move, ctx: FusionContext) -> LatticePath:
-    """The two-block path rebuilt from the image word of a phi1 or phi2
-    move; every boundary stays restricted."""
+    """The two-block path rebuilt from the image word of a psi, phi1 or
+    phi2 move; every boundary stays restricted."""
     if move is None:
         raise ValueError(f"{name} applied outside its domain")
     w, image, mark = move
@@ -294,32 +302,28 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
     """Level-k involution on two-block signed terms.
 
     Dispatch: the exceptional domains D1 and D2 trade places through phi1
-    and phi2; everything else either follows the classical involution or
-    is a fixed point (a fitting path outside D2).
+    and phi2; everything else either follows the classical move or is a
+    fixed point (a fitting path outside D2).  The ascents must be mu' or,
+    when the first block is the shorter, (mu'_2 - 1, mu'_1 + 1).
     """
-    mu = normalize(mu)
     path = term.path
     if len(path.ascents) != 2:
         raise ValueError("the level-k involution acts on two-block terms")
-    swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)
-    if path.ascents[0] < path.ascents[1]:
-        move = _d1_move(path, ctx)
-        if move is not None:
-            return SignedTerm(swap, _apply("phi1", path, move, ctx))
+    mu_conj = _conjugate(normalize(mu))
+    a, b = path.ascents
+    if len(mu_conj) != 2 or (a, b) != (mu_conj if a >= b else (mu_conj[1] - 1, mu_conj[0] + 1)):
+        raise ValueError(f"ascents {path.ascents} do not fit column lengths {mu_conj}")
+    if a < b:
+        name, move = "phi1", _d1_move(path, ctx)
     else:
-        mu_conj = _conjugate(mu)
-        if path.ascents != mu_conj:
-            raise ValueError(f"ascents {path.ascents} do not match column lengths {mu_conj}")
         cert, move = _d2(path, ctx)
-        if move is not None:
-            return SignedTerm(swap, _apply("phi2", path, move, ctx))
-        if cert.column_strict:
+        if move is None and cert.column_strict:
             return term
-    result = psi(term, mu)
-    for shape in boundary_shapes(result.path):
-        if not _restricted(shape, ctx):
-            raise RuntimeError("classical move left the restricted region")
-    return result
+        name = "phi2"
+    if move is None:
+        name, move = "psi", _psi_move(path, 1)
+    swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)
+    return SignedTerm(swap, _apply(name, path, move, ctx))
 
 
 def is_k_fusion(path: LatticePath, ctx: FusionContext, mu) -> bool:

@@ -156,24 +156,6 @@ def rank_level_dual(p, ctx: FusionContext) -> Partition:
     return normalize(result)
 
 
-def sigma_dot(sigma, mu_conj, m: int) -> tuple[int, ...]:
-    """Permuted-composition action: entry i is (rho + mu')_{sigma^-1(i)} - rho_i.
-
-    rho = (m-1, ..., 1, 0).  Entries may be negative; a negative entry means
-    the corresponding path set is empty.
-    """
-    sigma = tuple(sigma)
-    mu_conj = tuple(mu_conj)
-    if len(sigma) != m or len(mu_conj) != m:
-        raise ValueError("sigma and mu_conj must both have length m")
-    rho = tuple(m - 1 - i for i in range(m))
-    v = tuple(rho[i] + mu_conj[i] for i in range(m))
-    inv = [0] * m
-    for pos, val in enumerate(sigma):
-        inv[val - 1] = pos
-    return tuple(v[inv[i]] - rho[i] for i in range(m))
-
-
 def perm_sign(sigma) -> int:
     sigma = tuple(sigma)
     inversions = sum(
@@ -186,9 +168,11 @@ def perm_sign(sigma) -> int:
 
 
 def nonneg_compositions(mu_conj, cap: int):
-    """The pairs (sigma, sigma_dot(sigma, mu_conj, m)), m = len(mu_conj),
-    whose entries all lie in 0..cap.  Backtracks on sigma^-1, so that no
-    other permutation is built."""
+    """The pairs (sigma, sigma . mu') whose entries all lie in 0..cap.
+
+    With m = len(mu_conj) and rho = (m-1, ..., 1, 0), entry i of the
+    permuted composition sigma . mu' is (rho + mu')_{sigma^-1(i)} - rho_i.
+    Backtracks on sigma^-1, so that no other permutation is built."""
     m = len(mu_conj)
     v = [m - 1 - j + c for j, c in enumerate(mu_conj)]  # rho + mu'
     sigma, comp = [0] * m, [0] * m

@@ -5,7 +5,8 @@ per-check pass/fail counts with counterexamples, each named by its check.
 The signed sum is the reference throughout: the level sweeps take it one
 row per (la, mu), for every nu at once, and certify the fast routes
 against it; both involution sweeps walk its individual terms
-(``omega_terms``).
+(``omega_terms``) and check the involution laws in one loop, which
+applies psi or phi once per term.
 """
 
 from __future__ import annotations
@@ -161,6 +162,26 @@ def _rows(ctx: FusionContext, mus, size_max: int):
                 yield la, mu, restricted_supersets(la, sum(mu), ctx)
 
 
+def _involution_laws(terms, inv, involution: CheckResult, sign_flip: CheckResult, info):
+    """Record that ``inv`` squares to the identity and flips the sign of each
+    term it moves; returns the fixed terms, in term order.
+
+    ``inv`` runs once per term: the image of an image is read from the
+    table of images, and only an image outside ``terms`` is mapped again.
+    """
+    images = {term: inv(term) for term in terms}
+    fixed = []
+    for term in terms:
+        image = images[term]
+        back = images[image] if image in images else inv(image)
+        involution.record(back == term, **info, sigma=list(term.sigma))
+        if image == term:
+            fixed.append(term)
+        else:
+            sign_flip.record(image.sign == -term.sign, **info)
+    return fixed
+
+
 # ---------------------------------------------------------------------------
 # classical sweeps
 
@@ -192,27 +213,18 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
             continue
         for mu in partitions_of(rest):
             info = _info(la, mu, nu)
-            total = 0
-            fixed = 0
-            for term in omega_terms(la, mu, nu):
-                total += term.sign
-                image = psi(term, mu)
-                back = psi(image, mu)
-                involution.record(back == term, **info, sigma=list(term.sigma))
-                if image == term:
-                    fixed += 1
-                    ok = tuple(term.sigma) == tuple(
-                        range(1, len(term.sigma) + 1)
-                    ) and fits(term.path, mu)
-                    fixed_points.record(ok, **info)
-                else:
-                    sign_flip.record(image.sign == -term.sign, **info)
+            terms = list(omega_terms(la, mu, nu))
+            total = sum(term.sign for term in terms)
+            fixed = _involution_laws(terms, lambda t: psi(t, mu), involution, sign_flip, info)
+            for term in fixed:
+                ok = term.sigma == tuple(range(1, len(term.sigma) + 1)) and fits(term.path, mu)
+                fixed_points.record(ok, **info)
             expected = lr_paths(la, mu, nu)
             signed_sum.record(
-                total == expected and fixed == expected,
+                total == expected and len(fixed) == expected,
                 **info,
                 signed=total,
-                fixed=fixed,
+                fixed=len(fixed),
                 lr=expected,
             )
     return [involution, sign_flip, fixed_points, signed_sum]
@@ -274,14 +286,9 @@ def _fusion_chunk(args) -> list[CheckResult]:
                 vacuous.record(oracle == classical, **info, oracle=oracle, classical=classical)
             if mu[0] != 2 or len(mu) == ctx.n:
                 continue  # the involution acts on genuinely two-column shapes below n rows
-            fixed = 0
-            for term in omega_terms(la, mu, nu, ctx):
-                image = phi(term, ctx, mu)
-                if image == term:
-                    fixed += 1
-                else:
-                    sign_flip.record(image.sign == -term.sign, **info)
-                involution.record(phi(image, ctx, mu) == term, **info, sigma=list(term.sigma))
+            terms = list(omega_terms(la, mu, nu, ctx))
+            fixed = _involution_laws(terms, lambda t: phi(t, ctx, mu), involution, sign_flip, info)
+            for term in terms:
                 path = term.path
                 if in_D1(path, ctx):
                     img = phi1(path, ctx)
@@ -290,7 +297,7 @@ def _fusion_chunk(args) -> list[CheckResult]:
                 if path.ascents[0] >= path.ascents[1] and in_D2(path, ctx).is_member:
                     img = phi2(path, ctx)
                     round_trip_2.record(in_D1(img, ctx) and phi1(img, ctx) == path, **info)
-            fixed_eq.record(fixed == oracle, **info, fixed=fixed, oracle=oracle)
+            fixed_eq.record(len(fixed) == oracle, **info, fixed=len(fixed), oracle=oracle)
     return checks
 
 

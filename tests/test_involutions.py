@@ -255,6 +255,19 @@ def test_phi_uses_psi_off_the_exceptional_domain():
     assert phi(image, ctx, (2, 2, 2)) == term
 
 
+def test_phi_checks_mu_on_every_branch():
+    # the ascents must be mu' or, with the first block shorter, (mu'_2 - 1, mu'_1 + 1)
+    d1 = SignedTerm((2, 1), example5_path())  # ascents (0, 3), mu = (2, 1)
+    classical = SignedTerm((2, 1), aiv_a_path())  # ascents (2, 4), mu = (2, 2, 2)
+    d2 = SignedTerm((1, 2), phi1(example5_path(), CTX32))  # ascents (2, 1), mu = (2, 1)
+    cases = [(d1, CTX32, (2, 1)), (classical, FusionContext(6, 2), (2, 2, 2)), (d2, CTX32, (2, 1))]
+    for term, ctx, mu in cases:
+        assert phi(phi(term, ctx, mu), ctx, mu) == term
+        for wrong in [(1, 1, 1), (3, 1), (2, 2), (2, 2, 1)]:
+            with pytest.raises(ValueError):
+                phi(term, ctx, wrong)
+
+
 def test_signed_term_sign_is_set_once_and_not_compared():
     path = aiv_a_path()
     term = SignedTerm((3, 1, 2), path)

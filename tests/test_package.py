@@ -73,7 +73,8 @@ def test_module_caches_are_bounded():
 
 def test_no_unused_imports_or_private_names():
     # what a deleted helper leaves behind: an unused import or an unreferenced private
-    # name, or a public routine of the core layers that nothing exports or reads
+    # name, a public routine of the core layers that nothing exports or reads, or an
+    # export that nothing reads
     package = pathlib.Path(fusionkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     referenced = set()
@@ -108,3 +109,7 @@ def test_no_unused_imports_or_private_names():
                     assert name in exported | referenced, (
                         f"fusionkit.{module}.{name} is neither exported nor read in src"
                     )
+    # entry points for callers that src itself has no use for
+    kept = {"is_border", "quotient", "path_from_label_blocks", "verify_restricted_path_identity"}
+    unread = sorted(exported - referenced - kept)
+    assert not unread, f"fusionkit exports {unread}, which nothing in src reads"

@@ -18,7 +18,6 @@ from fusionkit.partitions import (
     perm_sign,
     quotient,
     rank_level_dual,
-    sigma_dot,
 )
 
 
@@ -150,19 +149,16 @@ def test_rank_level_dual_involution_exhaustive():
                 assert rank_level_dual(image, ctx.dual()) == p
 
 
-def test_sigma_dot_values():
-    assert sigma_dot((1, 2), (2, 1), 2) == (2, 1)
-    assert sigma_dot((2, 1), (2, 1), 2) == (0, 3)
-    assert sigma_dot((2, 1), (1, 1), 2) == (0, 2)
+def test_nonneg_compositions_values():
+    assert dict(nonneg_compositions((2, 1), 3)) == {(1, 2): (2, 1), (2, 1): (0, 3)}
+    assert dict(nonneg_compositions((2, 1), 2)) == {(1, 2): (2, 1)}
+    assert dict(nonneg_compositions((1, 1), 2)) == {(1, 2): (1, 1), (2, 1): (0, 2)}
 
 
-def test_sigma_dot_preserves_total():
-    from itertools import permutations
-
-    for mu_conj in [(3, 2, 1), (2, 2, 2), (4, 1, 1), (1, 1, 1)]:
-        for sigma in permutations((1, 2, 3)):
-            comp = sigma_dot(sigma, mu_conj, 3)
-            assert sum(comp) == sum(mu_conj)
+def _sigma_dot(sigma, mu_conj):
+    # entry i is (rho + mu')_{sigma^-1(i)} - rho_i, with rho = (m-1, ..., 1, 0)
+    inverse = [sigma.index(value) for value in range(1, len(sigma) + 1)]
+    return tuple(mu_conj[j] + i - j for i, j in enumerate(inverse))
 
 
 def test_nonneg_compositions_are_the_filtered_permutations():
@@ -173,7 +169,7 @@ def test_nonneg_compositions_are_the_filtered_permutations():
         for mu_conj in partitions_of(total, max_part=3, max_len=6):
             m = len(mu_conj)
             every = {
-                (sigma, sigma_dot(sigma, mu_conj, m))
+                (sigma, _sigma_dot(sigma, mu_conj))
                 for sigma in permutations(range(1, m + 1))
             }
             for cap in (0, 1, 2, 3, total):

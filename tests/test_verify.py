@@ -1,6 +1,8 @@
 import pytest
 
+from fusionkit import verify
 from fusionkit.coefficients import _fusion_row, _signed_compositions, omega_terms
+from fusionkit.involutions import SignedTerm
 from fusionkit.partitions import FusionContext, _restricted
 from fusionkit.paths import boundary_shapes
 from fusionkit.verify import (
@@ -11,6 +13,7 @@ from fusionkit.verify import (
     _mu_units,
     _rows,
     _shapes,
+    classical_involution_checks,
     duality_checks,
     fusion_involution_checks,
     monotone_checks,
@@ -34,6 +37,31 @@ def test_pool_gives_the_serial_report(sweep):
     pooled = [c.as_dict() for c in sweep(3, 2, 6, jobs=2)]
     assert pooled == serial
     assert all(c["checked"] for c in serial)
+
+
+def _passed(checks) -> dict:
+    return {c.name: c.passed for c in checks}
+
+
+def test_the_image_table_cannot_hide_a_broken_involution(monkeypatch):
+    # each sweep applies its involution once per term and reads the image of an
+    # image from a table; a wrong image for one sigma must still break the law
+    psi, phi = verify.psi, verify.phi
+    assert _passed(classical_involution_checks(5))["psi_squared_identity"]
+    assert _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
+
+    def psi_keeps_one_sigma(term, mu):
+        # the image path under the old sigma: a term outside the swept set
+        image = psi(term, mu)
+        return SignedTerm(term.sigma, image.path) if term.sigma == (2, 1, 3) else image
+
+    def phi_fixes_one_sigma(term, ctx, mu):
+        return term if term.sigma == (2, 1) else phi(term, ctx, mu)
+
+    monkeypatch.setattr(verify, "psi", psi_keeps_one_sigma)
+    monkeypatch.setattr(verify, "phi", phi_fixes_one_sigma)
+    assert not _passed(classical_involution_checks(5))["psi_squared_identity"]
+    assert not _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
 
 
 def test_unobstructed_counts_equal_the_boundary_walk():
