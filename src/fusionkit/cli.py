@@ -1,9 +1,10 @@
 """Command-line surface: coefficient queries, tables, verification sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 unsupported shape, 4 internal invariant breach (a bug).  Output is
-deterministic byte-for-byte for fixed arguments.  Set FUSIONKIT_TRACE=1
-to stream bracket words of every involution step to stderr.
+3 unsupported shape, 4 internal invariant breach (a bug), 141 stdout
+closed by its reader.  Output is deterministic byte-for-byte for fixed
+arguments.  Set FUSIONKIT_TRACE=1 to stream bracket words of every
+involution step to stderr.
 
 ``main`` builds its parser on first use and keeps it for the life of the
 process, so a caller that runs many requests through ``main`` pays for it
@@ -50,6 +51,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 # verify.run_suite's suites, named here so that queries need not import verify
 SUITES = ("involution", "monotone", "duality", "paths-identity", "gepner-witten", "all")
 
@@ -214,7 +216,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the unwritten rest goes nowhere, so the exit flush passes
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

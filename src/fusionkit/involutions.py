@@ -7,8 +7,8 @@ shape past the level bound; ``phi1`` and its inverse ``phi2`` repair
 exactly that family, and ``phi`` dispatches between the two.  The D1 and
 D2 tests read a two-block path once, as its pair word with the box of
 each letter, and work out the phi1 or phi2 move as they decide.  Off both
-domains phi takes psi's move instead, and every move of phi is rebuilt
-through one splice that checks the three boundaries of the new path.
+domains phi takes psi's move instead.  Every move, of psi or phi, keeps
+the pair's boxes and re-cuts them along its image word in one splice.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .paths import (
     Box,
     LatticePath,
     PathTableau,
-    _place_blocks,
     _walk,
     boundary_shapes,
     path_to_tableau,
@@ -94,60 +93,67 @@ def psi(term: SignedTerm, mu) -> SignedTerm:
         if tuple(term.sigma) != tuple(range(1, len(term.sigma) + 1)):
             raise RuntimeError("column-strict arrangement with a non-identity permutation")
         return term
-    w, image, _ = _psi_move(path, r)
+    w, image, _, boxes = _psi_move(path, r)
     _trace(f"psi pair ({r},{r + 1})", w)
     _trace("psi moved", image)
-    new_path, _ = _splice(path, r, image)
+    new_path, _ = _splice(path, r, image, boxes)
     sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
     return SignedTerm(sigma, new_path)
 
 
 def _psi_move(path: LatticePath, r: int) -> tuple:
-    """(word, image, None): the pair word of blocks r, r+1 raised or lowered
-    until the two blocks trade sizes."""
+    """(word, image, None, boxes): the pair word of blocks r, r+1 raised or
+    lowered until the two blocks trade sizes, and the box of each letter."""
     sizes = path.ascents
     d = sizes[r] - sizes[r - 1] - 1
     if d == 0:
         raise RuntimeError("adjacent blocks differ by exactly one box at a violation")
-    w = image = pair_word(path, r)
+    w, boxes = _read(path, r)
+    image = w
     for _ in range(abs(d)):
         image = raise_e(image) if d > 0 else lower_f(image)
-    return w, image, None
+    return w, image, None, boxes
 
 
-def _splice(path: LatticePath, r: int, w: BracketWord) -> tuple[LatticePath, tuple]:
-    """The path with blocks r, r+1 rebuilt from the two blocks of ``w``,
-    and the shapes at the new pair's three boundaries.
+def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[LatticePath, tuple]:
+    """Blocks r, r+1 of the path re-cut along ``image``, and the shapes at
+    the new pair's three boundaries.
 
-    Only the pair is placed, from the shape where block r starts; raises
-    when the new pair does not end where the old one did.
+    ``boxes`` holds the box of each letter, in word order.  A move trades
+    letters between the blocks and keeps their boxes (a moved label occurs
+    once in the pair), so each box joins its letter's block in ``image``,
+    read backwards into add order.  A block that is not a vertical strip
+    raises ``RuntimeError``.
     """
     lo = sum(path.ascents[: r - 1])
-    hi = lo + path.ascents[r - 1] + path.ascents[r]
+    backwards = list(zip(reversed(image.letters), reversed(boxes)))
+    first, second = (tuple(box for (_, blk), box in backwards if blk == b) for b in (1, 2))
     start = _walk(path.base, path.steps[:lo])
-    blocks = (w.block(1), w.block(2))
-    steps, shapes = _place_blocks(start, blocks)
-    if shapes[-1] != _walk(start, path.steps[lo:hi]):
-        raise RuntimeError("rebuilt block pair does not reach the original shape")
-    ascents = path.ascents[: r - 1] + (len(blocks[0]), len(blocks[1])) + path.ascents[r + 1 :]
-    new_path = LatticePath(path.base, path.steps[:lo] + steps + path.steps[hi:], ascents)
-    return new_path, (start, *shapes)
+    try:
+        middle = _walk(start, first)
+        end = _walk(middle, second)
+    except ValueError as exc:
+        raise RuntimeError(f"re-cut block pair is not a strip chain: {exc}") from None
+    steps = path.steps[:lo] + first + second + path.steps[lo + len(boxes) :]
+    ascents = path.ascents[: r - 1] + (len(first), len(second)) + path.ascents[r + 1 :]
+    return LatticePath(path.base, steps, ascents), (start, middle, end)
 
 
-def _read(path: LatticePath) -> tuple[BracketWord, list[Box]]:
-    """The pair word of a two-block path and the box of each letter, in word order.
+def _read(path: LatticePath, r: int = 1) -> tuple[BracketWord, list[Box]]:
+    """The pair word of blocks r, r+1 and the box of each letter, in word order.
 
     Within a block the labels decrease along the steps, so each block's
     boxes, read backwards, meet the word's letters of that block in order.
     """
-    w = pair_word(path, 1)
-    p = path.ascents[0]
-    first, second = reversed(path.steps[:p]), reversed(path.steps[p:])
+    w = pair_word(path, r)
+    lo = sum(path.ascents[: r - 1])
+    p = lo + path.ascents[r - 1]
+    first, second = reversed(path.steps[lo:p]), reversed(path.steps[p : p + path.ascents[r]])
     return w, [next(first if blk == 1 else second) for _, blk in w.letters]
 
 
 def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
-    """(word, phi1 image, kept position) for a path in D1, else None.
+    """(word, phi1 image, kept position, boxes) for a path in D1, else None.
 
     The word is read only after the checks that the steps and the target
     decide on their own.
@@ -169,7 +175,7 @@ def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
     flips = [i for i in w.unpaired() if i != kept]
     if any(w.letters[i][1] != 2 for i in flips):
         raise RuntimeError("unpaired first-block letter in the exceptional domain")
-    return w, flip_positions(w, flips), kept
+    return w, flip_positions(w, flips), kept, boxes
 
 
 def in_D1(path: LatticePath, ctx: FusionContext) -> bool:
@@ -193,14 +199,14 @@ def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
 
 
 def _apply(name: str, path: LatticePath, move, ctx: FusionContext) -> LatticePath:
-    """The two-block path rebuilt from the image word of a psi, phi1 or
+    """The two-block path re-cut along the image word of a psi, phi1 or
     phi2 move; every boundary stays restricted."""
     if move is None:
         raise ValueError(f"{name} applied outside its domain")
-    w, image, mark = move
+    w, image, mark, boxes = move
     _trace(f"{name} word", w, mark)
     _trace(f"{name} image", image, mark)
-    new_path, shapes = _splice(path, 1, image)
+    new_path, shapes = _splice(path, 1, image, boxes)
     for shape in shapes:
         if not _restricted(shape, ctx):
             raise RuntimeError(f"rebuilt path leaves the restricted region at {shape}")
@@ -237,7 +243,7 @@ class D2Certificate:
 
 def _d2(path: LatticePath, ctx: FusionContext) -> tuple[D2Certificate, tuple | None]:
     """The D2 certificate, and for a member the phi2 move (word, image,
-    position of the kept last-column letter)."""
+    position of the kept last-column letter, boxes)."""
     if len(path.ascents) != 2 or not path.ascents[0] >= path.ascents[1] > 0:
         raise ValueError("D2 is defined for two nonempty blocks with the first at least as long")
     p = path.ascents[0]
@@ -284,7 +290,7 @@ def _d2(path: LatticePath, ctx: FusionContext) -> tuple[D2Certificate, tuple | N
         return cert, None
     # a column-strict word pairs every right parenthesis, the kept letter's too
     flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [b_i0_pos]
-    return cert, (w, flip_positions(w, flips), a_i0_pos)
+    return cert, (w, flip_positions(w, flips), a_i0_pos, boxes)
 
 
 def in_D2(path: LatticePath, ctx: FusionContext) -> D2Certificate:

@@ -5,6 +5,8 @@ A path is a chain of partitions adding one box per step.  Boxes are
 col - row.  A block of consecutive steps with strictly decreasing labels
 adds a vertical strip (at most one box per row), and a path cut into such
 blocks by an ascent composition is the basic object counted throughout.
+Only ``path_from_label_blocks`` places labels at addable boxes; the
+involutions re-cut the boxes a block pair already has.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def vertical_strips(shape, size: int, within):
     decreasing, i.e. top row first).
     """
     shape = tuple(shape)
-    nrows = min(len(shape) + size, len(within))
+    # a box below the last nonzero row needs the row above it filled first
+    nrows = min(len(shape) - shape.count(0) + size, len(within))
 
     def rec(row, left, current: list[int], rows_used: list[int]):
         if left == 0:
@@ -127,9 +130,6 @@ class PathTableau:
 
     columns: tuple[tuple[int, ...], ...]
 
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.columns)
-
 
 def path_to_tableau(path: LatticePath) -> PathTableau:
     columns = []
@@ -140,15 +140,11 @@ def path_to_tableau(path: LatticePath) -> PathTableau:
     return PathTableau(tuple(columns))
 
 
-def _place_blocks(shape, label_blocks) -> tuple[tuple[Box, ...], list[Partition]]:
-    """Place each block's labels, in decreasing order, at the unique addable
-    box on their diagonal, starting from ``shape``.
-
-    Returns the boxes in add order and the shape after each block; raises
-    when a label has no addable box (the labels do not describe a path).
-    """
-    steps: list[Box] = []
-    shapes = []
+def path_from_label_blocks(base, label_blocks) -> LatticePath:
+    """Reconstruct the path adding, per block, each label in decreasing
+    order at the unique addable box on its diagonal; raises when a label
+    has none (the labels do not describe a path)."""
+    shape, steps = base, []
     for labels in label_blocks:
         for d in sorted(labels, reverse=True):
             box = addable_box(shape, d)
@@ -156,14 +152,7 @@ def _place_blocks(shape, label_blocks) -> tuple[tuple[Box, ...], list[Partition]
                 raise ValueError(f"no addable box on diagonal {d} of {shape}")
             shape = add_box(shape, box)
             steps.append(box)
-        shapes.append(shape)
-    return tuple(steps), shapes
-
-
-def path_from_label_blocks(base, label_blocks) -> LatticePath:
-    """Reconstruct the path adding, per block, boxes in decreasing label order."""
-    steps, _ = _place_blocks(base, label_blocks)
-    return LatticePath(base, steps, tuple(len(b) for b in label_blocks))
+    return LatticePath(base, tuple(steps), tuple(len(b) for b in label_blocks))
 
 
 def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=None):

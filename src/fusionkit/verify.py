@@ -23,7 +23,7 @@ from .coefficients import (
     _lr_paths,
     _path_identity_sides,
     _signed_compositions,
-    fusion_oracle,
+    fusion_expand,
     gepner_witten,
     lr_expand_lattice,
     lr_expand_paths,
@@ -104,15 +104,11 @@ class Report:
 
 
 def _merge_check_lists(parts: list[list[CheckResult]]) -> list[CheckResult]:
-    merged: dict[str, CheckResult] = {}
-    order: list[str] = []
+    merged: dict[str, CheckResult] = {}  # first-seen order
     for chunk in parts:
         for check in chunk:
-            if check.name not in merged:
-                merged[check.name] = CheckResult(check.name)
-                order.append(check.name)
-            merged[check.name].merge(check)
-    return [merged[name] for name in order]
+            merged.setdefault(check.name, CheckResult(check.name)).merge(check)
+    return list(merged.values())
 
 
 def _info(la, mu, nu, ctx: FusionContext | None = None) -> dict:
@@ -402,6 +398,7 @@ def gepner_witten_comparison(k_max: int = 6, size_max: int = 10):
     samples: list[dict] = []
     for k in range(1, k_max + 1):
         ctx = FusionContext(2, k)
+        rows: dict = {}  # one fusion_expand row per (la, mu) at this level
         for nu_size in range(0, size_max + 1):
             for nu in restricted_partitions_of(nu_size, ctx):
                 for la in subpartitions(nu):
@@ -410,7 +407,10 @@ def gepner_witten_comparison(k_max: int = 6, size_max: int = 10):
                     for mu in partitions_of(nu_size - sum(la), max_len=2):
                         if not _restricted(mu, ctx):
                             continue
-                        oracle = fusion_oracle(la, mu, nu, ctx)
+                        row = rows.get((la, mu))
+                        if row is None:
+                            row = rows[la, mu] = fusion_expand(la, mu, ctx)
+                        oracle = row.get(nu, 0)
                         printed = _gepner_witten_printed(la, mu, nu, k)
                         doubled = gepner_witten(la, mu, nu, k)
                         stats["triples"] += 1

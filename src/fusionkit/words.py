@@ -32,12 +32,6 @@ class BracketWord:
     def brackets(self) -> str:
         return "".join("(" if blk == 1 else ")" for _, blk in self.letters)
 
-    def block(self, which: int) -> tuple[int, ...]:
-        """Labels of the given block, in decreasing (add) order."""
-        return tuple(
-            lab for lab, blk in reversed(self.letters) if blk == which
-        )
-
     def unpaired(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.partner) if p is None)
 

@@ -211,6 +211,24 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "error: internal: negative fusion coefficient\n"
 
 
+@pytest.mark.parametrize("max_size", ["2", "8"])  # under and over one 8 KiB buffer
+def test_a_closed_stdout_ends_quietly(max_size):
+    # the read end is closed before the process starts, so its first write
+    # fails, at the final flush or in the middle of the table
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "fusionkit.cli", "table", "--n", "3", "--k", "4",
+             "--mu", "2,1", "--max-size", max_size],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_table_csv_and_empty(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--n", "2", "--k", "1", "--mu", "1", "--max-size", "0",

@@ -165,6 +165,11 @@ def test_fusion_expand_single_wide_row():
     }
 
 
+def test_fusion_expand_at_many_rows():
+    # a strip walk recurses per row it may touch, not per row of n
+    assert fusion_expand((1,), (1,), FusionContext(1200, 1)) == {(1, 1): 1}
+
+
 def test_duality_spot_checks():
     def invariant(la, mu, nu, ctx):
         dual = [rank_level_dual(p, ctx) for p in (la, mu, nu)]

@@ -3,6 +3,8 @@ import pytest
 from fusionkit.coefficients import fusion_oracle, lr_paths, omega_terms
 from fusionkit.involutions import (
     SignedTerm,
+    _read,
+    _splice,
     canonical_violation,
     in_D1,
     in_D2,
@@ -98,10 +100,12 @@ def test_psi_fixes_fitting_terms():
     assert psi(term, (2,)) == term
 
 
-def _assert_rebuilt_from_scratch(path):
-    # psi and phi splice only the blocks they move; a path built afresh from
-    # all of the image's block labels, and its shapes walked box by box, agree
+def _assert_rebuilt_from_scratch(path, term_path):
+    # psi and phi re-cut only the blocks they move; a path built afresh from
+    # all of the image's block labels, and its shapes walked box by box, agree,
+    # and the image covers the term's boxes
     assert path == path_from_label_blocks(path.base, path_to_tableau(path).columns)
+    assert sorted(path.steps) == sorted(term_path.steps)
     shapes, shape, pos = [path.base], path.base, 0
     for a in path.ascents:
         for box in path.steps[pos : pos + a]:
@@ -124,7 +128,7 @@ def test_psi_involution_small():
                 for term in omega_terms(la, mu, nu):
                     signed += term.sign
                     image = psi(term, mu)
-                    _assert_rebuilt_from_scratch(image.path)
+                    _assert_rebuilt_from_scratch(image.path, term.path)
                     assert psi(image, mu) == term
                     if image == term:
                         fixed += 1
@@ -139,6 +143,16 @@ def test_psi_rejects_balanced_gap():
     bad = path_from_label_blocks((), [(0,), (1, -1)])
     with pytest.raises(RuntimeError):
         psi(SignedTerm((1, 2), bad), (2, 1))
+
+
+def test_a_bad_recut_is_an_internal_fault():
+    # word )(): flipping the paired label-1 letter puts labels 0 and 1 in the
+    # first block, which no strip from the empty shape holds
+    path = path_from_label_blocks((), [(0,), (1, -1)])
+    w, boxes = _read(path)
+    assert w.brackets == ")()"
+    with pytest.raises(RuntimeError, match="not a strip chain"):
+        _splice(path, 1, flip_positions(w, [2]), boxes)
 
 
 def test_phi_splice_equals_a_full_rebuild():
@@ -156,7 +170,7 @@ def test_phi_splice_equals_a_full_rebuild():
                             continue
                         for term in omega_terms(la, mu, nu, ctx):
                             image = phi(term, ctx, mu).path
-                            _assert_rebuilt_from_scratch(image)
+                            _assert_rebuilt_from_scratch(image, term.path)
                             path = term.path
                             if in_D1(path, ctx):
                                 d1 += 1

@@ -73,8 +73,8 @@ def test_module_caches_are_bounded():
 
 def test_no_unused_imports_or_private_names():
     # what a deleted helper leaves behind: an unused import or an unreferenced private
-    # name, a public routine of the core layers that nothing exports or reads, or an
-    # export that nothing reads
+    # name, a public routine of the core layers that nothing exports or reads, a method
+    # or property of a core class that nothing reads, or an export that nothing reads
     package = pathlib.Path(fusionkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     referenced = set()
@@ -108,6 +108,19 @@ def test_no_unused_imports_or_private_names():
                 elif module in core and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     assert name in exported | referenced, (
                         f"fusionkit.{module}.{name} is neither exported nor read in src"
+                    )
+    # a method is read as an attribute, in src or in the tests
+    tests = [ast.parse(path.read_text()) for path in pathlib.Path(__file__).parent.glob("*.py")]
+    read = {
+        n.attr for tree in [*trees.values(), *tests] for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+    }
+    for module in core:
+        for cls in trees[module].body:
+            for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    assert node.name in read, (
+                        f"fusionkit.{module}.{cls.name}.{node.name} is never read"
                     )
     # entry points for callers that src itself has no use for
     kept = {"is_border", "quotient", "path_from_label_blocks", "verify_restricted_path_identity"}
