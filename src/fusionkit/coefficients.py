@@ -22,8 +22,6 @@ input that the caller has already checked.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .involutions import SignedTerm, in_D2
 from .partitions import (
     FusionContext,
@@ -40,7 +38,7 @@ from .partitions import (
     perm_sign,
     restricted_partitions_of,
 )
-from .paths import enumerate_paths, strip_chain_counts, strip_chains
+from .paths import enumerate_paths, strip_chain_counts, strip_chains, vertical_strips
 from .words import _fits, word_of, word_type
 
 
@@ -333,26 +331,23 @@ def _gepner_witten_printed(la, mu, nu, k: int) -> int:
 
 def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
     """Single-box chains la -> nu; with a context, every shape on the chain
-    (la and nu included) must be restricted."""
+    (la and nu included) must be restricted.  Counted by endpoint one box
+    at a time over ``vertical_strips``, as ``strip_chain_counts`` does."""
     la, nu = normalize(la), normalize(nu)
     if not contains(nu, la):
         return 0
     if ctx is not None and not (_restricted(la, ctx) and _restricted(nu, ctx)):
         return 0
-
-    @lru_cache(maxsize=None)
-    def walk(shape) -> int:
-        if shape == la:
-            return 1
-        total = 0
-        for i in range(len(shape)):
-            if shape[i] and (i + 1 == len(shape) or shape[i + 1] < shape[i]):
-                prev = normalize(shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
-                if contains(prev, la) and (ctx is None or _restricted(prev, ctx)):
-                    total += walk(prev)
-        return total
-
-    return walk(nu)
+    frontier = {la + (0,) * (len(nu) - len(la)): 1}
+    for _ in range(sum(nu) - sum(la)):
+        grown: dict[Partition, int] = {}
+        for shape, count in frontier.items():
+            for new_shape, _ in vertical_strips(shape, 1, nu):
+                if ctx is None or _restricted(new_shape, ctx):
+                    grown[new_shape] = grown.get(new_shape, 0) + count
+        frontier = grown
+    # every box stays inside nu, so the last shape is nu itself
+    return frontier.get(nu, 0)
 
 
 def verify_restricted_path_identity(la, nu, ctx: FusionContext) -> bool:

@@ -5,8 +5,9 @@ A path is a chain of partitions adding one box per step.  Boxes are
 col - row.  A block of consecutive steps with strictly decreasing labels
 adds a vertical strip (at most one box per row), and a path cut into such
 blocks by an ascent composition is the basic object counted throughout.
-Only ``path_from_label_blocks`` places labels at addable boxes; the
-involutions re-cut the boxes a block pair already has.
+Every strip comes from ``vertical_strips``, which walks a padded shape
+box by box.  Only ``path_from_label_blocks`` places labels at addable
+boxes; the involutions re-cut the boxes a block pair already has.
 """
 
 from __future__ import annotations
@@ -49,38 +50,33 @@ def addable_box(shape, diag: int) -> Box | None:
 
 def vertical_strips(shape, size: int, within):
     """All ways to add ``size`` boxes to ``shape`` inside ``within``, no two
-    in the same row.
+    in the same row; ``shape`` is padded with zeros to ``len(within)`` parts.
 
-    Yields (new_shape, boxes) with boxes in add order (labels strictly
-    decreasing, i.e. top row first).
+    Yields (new_shape, boxes), boxes in add order (top row first), in
+    decreasing order of the row tuples: the first box tries the lowest row
+    first, each later box the rows below the one before.  One call level
+    per box, so the depth is ``size``, not the number of rows.
     """
-    shape = tuple(shape)
+    current = list(shape)
     # a box below the last nonzero row needs the row above it filled first
-    nrows = min(len(shape) - shape.count(0) + size, len(within))
+    nrows = min(len(current) - current.count(0) + size, len(current))
+    rows: list[int] = []
 
-    def rec(row, left, current: list[int], rows_used: list[int]):
-        if left == 0:
-            yield tuple(current), tuple(
-                (r, current[r - 1]) for r in rows_used
-            )
+    def place(left: int, above: int):
+        if not left:
+            yield tuple(current), tuple((r, current[r - 1]) for r in rows)
             return
-        if row > nrows or nrows - row + 1 < left:
-            return
-        # skip this row
-        yield from rec(row + 1, left, current, rows_used)
-        # place a box in this row
-        col = (current[row - 1] if row <= len(current) else 0) + 1
-        prev = current[row - 2] if 1 <= row - 1 <= len(current) else 0
-        if (row == 1 or prev >= col) and within[row - 1] >= col:
-            grown = current[:]
-            if row > len(grown):
-                grown.append(0)
-            grown[row - 1] += 1
-            rows_used.append(row)
-            yield from rec(row + 1, left - 1, grown, rows_used)
-            rows_used.pop()
+        # leave a row for each box still to come after this one
+        for row in range(nrows - left + 1, above, -1):
+            col = current[row - 1] + 1
+            if within[row - 1] >= col and (row == 1 or current[row - 2] >= col):
+                current[row - 1] = col
+                rows.append(row)
+                yield from place(left - 1, row)
+                rows.pop()
+                current[row - 1] = col - 1
 
-    yield from rec(1, size, list(shape), [])
+    yield from place(size, 0)
 
 
 @dataclass(frozen=True, slots=True)

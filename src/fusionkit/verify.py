@@ -514,6 +514,9 @@ def run_suite(
     size_max: int = 6,
     jobs: int = 1,
 ) -> Report:
+    for bound, value, least in (("n_max", n_max, 2), ("k_max", k_max, 1)):
+        if value < least:  # the (n, k) grid would be empty
+            raise ValueError(f"{bound} must be at least {least}, got {value}")
     started = time.perf_counter()
     checks: list[CheckResult] = []
     if suite in ("involution", "all"):
@@ -530,7 +533,7 @@ def run_suite(
         )
     if suite in ("gepner-witten", "all"):
         checks += gepner_witten_checks(k_max=max(k_max, 4), size_max=min(size_max + 2, 10))
-    if not checks:
+    if not checks:  # on a nonempty grid every suite reports its checks
         raise ValueError(f"unknown suite {suite!r}")
     return Report(
         suite=suite,

@@ -301,3 +301,36 @@ def test_verify_each_suite(capsys, suite):
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value, message",
+    [
+        ("monotone", "--n-max", "1", "n_max must be at least 2, got 1"),
+        ("duality", "--k-max", "0", "k_max must be at least 1, got 0"),
+        ("paths-identity", "--n-max", "1", "n_max must be at least 2, got 1"),
+        ("all", "--n-max", "1", "n_max must be at least 2, got 1"),
+    ],
+    ids=["monotone-n1", "duality-k0", "paths-identity-n1", "all-n1"],
+)
+def test_verify_rejects_bounds_that_leave_no_grid(capsys, suite, flag, value, message):
+    # each (n, k) sweep would run nothing; the error names the bound, not the suite
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value, "--jobs", "1")
+    assert (code, out, err) == (cli.EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+
+def test_verify_names_an_unknown_suite():
+    from fusionkit.verify import run_suite
+
+    with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+        run_suite("nope", n_max=2, k_max=1, size_max=2)
+
+
+@pytest.mark.parametrize("method", ["oracle", "rule", "tableaux"])
+def test_fusion_answers_a_tall_query(capsys, method):
+    # a thousand nonzero rows: no walk may recurse once per row
+    tall = ",".join(["1"] * 1000)
+    code, out, err = run_cli(
+        capsys, "fusion", tall, "1", tall + ",1", "--n", "1200", "--k", "1", "--method", method
+    )
+    assert (code, out, err) == (0, "1\n", "")

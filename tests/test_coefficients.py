@@ -1,3 +1,5 @@
+from math import factorial, prod
+
 import pytest
 
 from fusionkit.coefficients import (
@@ -17,6 +19,7 @@ from fusionkit.coefficients import (
 )
 from fusionkit.partitions import (
     FusionContext,
+    conjugate,
     is_restricted,
     partitions_of,
     partitions_up_to,
@@ -205,9 +208,25 @@ def test_count_restricted_paths():
     assert count_paths((1,), (3, 1), FusionContext(2, 1)) == 0
 
 
+def test_standard_counts_follow_the_hook_length_formula():
+    # f^la = |la|! / (product of the hook lengths), which walks no shape
+    for la in partitions_up_to(10):
+        conj = conjugate(la)
+        hooks = prod(part - j + conj[j] - i - 1 for i, part in enumerate(la) for j in range(part))
+        assert count_paths((), la) == factorial(sum(la)) // hooks, la
+
+
+def test_count_paths_through_a_thousand_rows():
+    # one box per step over a thousand rows: nothing recurses per row or per box
+    assert count_paths((), (1,) * 1000) == 1
+    assert count_paths((1,) * 10, (1,) * 1000, FusionContext(1000, 1)) == 1
+
+
 def test_single_box_paths_match_count_paths():
     # with one-box blocks every intermediate shape is a block boundary, so
-    # the strip enumerator and the memoised walk count the same chains
+    # the strip-chain enumerator and the one-box frontier of count_paths
+    # count the same chains (both read vertical_strips, which test_paths
+    # checks against a brute force)
     for ctx in (None, FusionContext(2, 1), CTX32, FusionContext(4, 3)):
         for nu in partitions_up_to(7):
             for la in subpartitions(nu):

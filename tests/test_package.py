@@ -69,6 +69,22 @@ def test_module_caches_are_bounded():
     assert "fusionkit.paths.enumerate_paths" in caches
     for name, info in caches.items():
         assert info.maxsize is not None, name
+    # a cache built inside a function is no module attribute, so read the source:
+    # every lru_cache or cache in it must be called with an integer maxsize
+    package = pathlib.Path(fusionkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        bounded = {
+            id(node.func)
+            for node in nodes
+            if isinstance(node, ast.Call)
+            for size in node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            if isinstance(size, ast.Constant) and type(size.value) is int
+        }
+        for node in nodes:
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("lru_cache", "cache"):
+                assert id(node) in bounded, f"{path.name}:{node.lineno} has an unbounded {name}"
 
 
 def test_no_unused_imports_or_private_names():

@@ -1,4 +1,5 @@
-from itertools import product
+from itertools import combinations, product
+from operator import le
 
 import pytest
 
@@ -20,6 +21,7 @@ from fusionkit.paths import (
     path_to_tableau,
     strip_chain_counts,
     strip_chains,
+    vertical_strips,
 )
 
 
@@ -27,6 +29,23 @@ def test_diagonal_label():
     assert diagonal_label((1, 1)) == 0
     assert diagonal_label((1, 4)) == 3
     assert diagonal_label((3, 1)) == -2
+
+
+def test_vertical_strips_are_the_valid_row_sets_in_order():
+    # every set of rows whose boxes leave a partition inside within, listed in
+    # decreasing order of the row tuples: the first box in its lowest row first
+    for within in partitions_up_to(7):
+        for shape in subpartitions(within):
+            shape += (0,) * (len(within) - len(shape))
+            for size in range(len(within) + 2):
+                expected = []
+                for rows in sorted(combinations(range(1, len(within) + 1), size), reverse=True):
+                    grown = list(shape)
+                    for row in rows:
+                        grown[row - 1] += 1
+                    if all(map(le, grown[1:], grown)) and all(map(le, grown, within)):
+                        expected.append((tuple(grown), tuple((r, grown[r - 1]) for r in rows)))
+                assert list(vertical_strips(shape, size, within)) == expected, (shape, size)
 
 
 def test_enumerate_paths_basic():
