@@ -35,9 +35,9 @@ from .coefficients import (
 from .involutions import is_k_fusion
 from .partitions import (
     FusionContext,
+    _conjugate,
     _format_partition,
     _restricted,
-    conjugate,
     format_partition,
     is_restricted,
     parse_partition,
@@ -97,7 +97,7 @@ def _explain(la, mu, nu, ctx) -> None:
     if mu and mu[0] > 2:
         print("# explanation available only for shapes with at most two columns")
         return
-    mu_conj = conjugate(mu)
+    mu_conj = _conjugate(mu)
     for path in enumerate_paths(la, nu, mu_conj, ctx):
         if mu and mu[0] == 2 and len(mu) < ctx.n:
             if not is_k_fusion(path, ctx, mu):

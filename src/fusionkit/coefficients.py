@@ -14,10 +14,11 @@ fillings with a lattice word) are the fast routes the sum certifies;
 ``fusion_tableaux`` and ``lr_lattice`` walk the same fillings
 (``_fillings``).
 
-Public functions validate their arguments, the two fast routes through one
-guard (``_fast_route``); the private cores (``_fusion_row``,
-``_fusion_rule``, ``_fusion_tableaux``, ``_lr_paths``) take normalized
-input that the caller has already checked.
+Public functions validate their arguments once, by the rule in
+``fusionkit.partitions``, the two fast routes through one guard
+(``_fast_route``); the private cores (``_fusion_row``, ``_fusion_rule``,
+``_fusion_tableaux``, ``_lr_paths``) take normalized input that the caller
+has already checked.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from .partitions import (
     FusionContext,
     Partition,
     _conjugate,
+    _contains,
     _restricted,
     _span,
-    conjugate,
-    contains,
     nonneg_compositions,
     normalize,
-    padded,
     partitions_of,
     perm_sign,
     restricted_partitions_of,
@@ -60,7 +59,7 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
     path, when la = nu.
     """
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    for sigma, comp in nonneg_compositions(conjugate(mu), len(nu)):
+    for sigma, comp in nonneg_compositions(_conjugate(mu), len(nu)):
         for path in enumerate_paths(la, nu, comp, ctx):
             yield SignedTerm(sigma, path)
 
@@ -68,7 +67,7 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
 def lr_paths(la, mu, nu) -> int:
     """Littlewood-Richardson coefficient as the number of fitting paths."""
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if not _weight_ok(la, mu, nu) or not contains(nu, la):
+    if not _weight_ok(la, mu, nu) or not _contains(nu, la):
         return 0
     return _lr_paths(la, mu, nu)
 
@@ -107,7 +106,7 @@ def lr_lattice(la, mu, nu) -> int:
     """The same coefficient as the number of row-strict fillings of nu/la
     with content mu' whose column reading word is lattice."""
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if not _weight_ok(la, mu, nu) or not contains(nu, la):
+    if not _weight_ok(la, mu, nu) or not _contains(nu, la):
         return 0
     if not mu:
         return 1 if la == nu else 0
@@ -136,7 +135,7 @@ def _expand_all(la, nu, pair_ok) -> dict[tuple[int, ...], int]:
     for mu_conj in partitions_of(sum(nu) - sum(la), max_part=rows):
         count = sum(1 for _ in strip_chains(la, nu, mu_conj, pair_ok=pair_ok))
         if count:
-            out[conjugate(mu_conj)] = count
+            out[_conjugate(mu_conj)] = count
     return out
 
 
@@ -325,8 +324,10 @@ def _gepner_witten_printed(la, mu, nu, k: int) -> int:
     for p in (la, mu, nu):
         if len(p) > 2:
             raise ValueError(f"{p} has more than two rows")
-    threshold = sum(padded(p, 2)[0] - padded(p, 2)[1] for p in (la, mu, nu))
-    return lr_paths(la, mu, nu) if k >= threshold else 0
+    if not _weight_ok(la, mu, nu) or not _contains(nu, la):
+        return 0
+    threshold = sum(a - b for a, b in (p + (0,) * (2 - len(p)) for p in (la, mu, nu)))
+    return _lr_paths(la, mu, nu) if k >= threshold else 0
 
 
 def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
@@ -334,7 +335,7 @@ def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
     (la and nu included) must be restricted.  Counted by endpoint one box
     at a time over ``vertical_strips``, as ``strip_chain_counts`` does."""
     la, nu = normalize(la), normalize(nu)
-    if not contains(nu, la):
+    if not _contains(nu, la):
         return 0
     if ctx is not None and not (_restricted(la, ctx) and _restricted(nu, ctx)):
         return 0

@@ -2,9 +2,11 @@
 
 Partitions are plain tuples of weakly decreasing nonnegative integers.
 Trailing zeros carry no meaning, so ``(2, 1)`` and ``(2, 1, 0)`` denote the
-same partition.  Public functions validate their arguments and normalize
-the zeros away; private helpers, here and in the other modules, take
-tuples that are already normalized.
+same partition.  The validation rule, for the whole package: the public
+function a shape enters through validates it once and normalizes the zeros
+away; from there it goes only to private helpers (here ``_contains``,
+``_conjugate``, ``_restricted``, ``_format_partition``), which take it as it
+is, never back through a public function that would validate it again.
 """
 
 from __future__ import annotations
@@ -46,20 +48,9 @@ def _format_partition(p) -> str:
     return ",".join(map(str, p)) or "0"
 
 
-def padded(p, n: int) -> Partition:
-    """The partition as exactly ``n`` parts (trailing zeros restored)."""
-    p = normalize(p)
-    if len(p) > n:
-        raise ValueError(f"{p} has more than {n} parts")
-    return p + (0,) * (n - len(p))
-
-
-def contains(outer, inner) -> bool:
-    """Diagram containment: inner fits inside outer."""
-    outer, inner = normalize(outer), normalize(inner)
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+def _contains(outer, inner) -> bool:
+    """Diagram containment of normalized shapes: inner fits inside outer."""
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def conjugate(p) -> Partition:
@@ -131,7 +122,10 @@ def is_border(p, ctx: FusionContext) -> bool:
 
 def quotient(p, ctx: FusionContext) -> Partition:
     """Subtract the n-th part from the first n-1: the reduced label of p's class."""
-    full = padded(p, ctx.n)
+    p = normalize(p)
+    if len(p) > ctx.n:
+        raise ValueError(f"{p} has more than {ctx.n} parts")
+    full = p + (0,) * (ctx.n - len(p))
     return normalize(tuple(full[i] - full[-1] for i in range(ctx.n - 1)))
 
 
@@ -143,14 +137,14 @@ def rank_level_dual(p, ctx: FusionContext) -> Partition:
     composing with the dual of the swapped context is the identity.
     """
     p = normalize(p)
-    if not is_restricted(p, ctx):
+    if not _restricted(p, ctx):
         raise ValueError(f"{p} is not ({ctx.n},{ctx.k})-restricted")
     k = ctx.k
     result: list[int] = [0] * k
     t = 0
     while p and t * k < p[0]:
         slab = normalize(tuple(min(max(x - t * k, 0), k) for x in p))
-        for i, part in enumerate(conjugate(slab)):
+        for i, part in enumerate(_conjugate(slab)):
             result[i] += part
         t += 1
     return normalize(result)
@@ -245,5 +239,4 @@ def restricted_supersets(la, extra: int, ctx: FusionContext):
     in increasing lexicographic order."""
     la = normalize(la)
     candidates = list(restricted_partitions_of(sum(la) + extra, ctx))
-    # containment compared directly: both sides are normalized
-    return (q for q in reversed(candidates) if len(la) <= len(q) and all(map(le, la, q)))
+    return (q for q in reversed(candidates) if _contains(q, la))

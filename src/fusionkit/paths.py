@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import FusionContext, Partition, _restricted, normalize
+from .partitions import FusionContext, Partition, _contains, _restricted, normalize
 
 Box = tuple[int, int]
 
@@ -164,8 +164,7 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
     """
     if any(s < 0 for s in sizes) or sum(sizes) != sum(target) - sum(base):
         return
-    # base inside target, compared directly: the inputs are already normalized
-    if len(base) > len(target) or any(b > t for b, t in zip(base, target)):
+    if not _contains(target, base):
         return
     if ctx is not None and not (
         _restricted(base, ctx) and _restricted(target, ctx)

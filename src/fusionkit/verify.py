@@ -27,16 +27,14 @@ from .coefficients import (
     gepner_witten,
     lr_expand_lattice,
     lr_expand_paths,
-    lr_paths,
     omega_terms,
 )
 from .involutions import in_D1, in_D2, phi, phi1, phi2, psi
 from .partitions import (
     FusionContext,
+    _conjugate,
     _format_partition,
     _restricted,
-    conjugate,
-    format_partition,
     partitions_of,
     partitions_up_to,
     rank_level_dual,
@@ -215,7 +213,7 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
             for term in fixed:
                 ok = term.sigma == tuple(range(1, len(term.sigma) + 1)) and fits(term.path, mu)
                 fixed_points.record(ok, **info)
-            expected = lr_paths(la, mu, nu)
+            expected = _lr_paths(la, mu, nu)  # la inside nu, |la| + |mu| = |nu|
             signed_sum.record(
                 total == expected and len(fixed) == expected,
                 **info,
@@ -333,7 +331,7 @@ def _duality_chunk(args) -> list[CheckResult]:
     for mu in mus:
         if n >= 3 and len(mu) <= 2:
             dual_conjugate.record(
-                rank_level_dual(mu, ctx) == conjugate(mu), **_info((), mu, (), ctx)
+                rank_level_dual(mu, ctx) == _conjugate(mu), **_info((), mu, (), ctx)
             )
     signed = {mu: _signed_compositions(mu, n) for mu in mus}
     dual_signed = {mu: _signed_compositions(rank_level_dual(mu, ctx), k) for mu in mus}
@@ -422,9 +420,9 @@ def gepner_witten_comparison(k_max: int = 6, size_max: int = 10):
                                 samples.append(
                                     {
                                         "k": k,
-                                        "lambda": format_partition(la),
-                                        "mu": format_partition(mu),
-                                        "nu": format_partition(nu),
+                                        "lambda": _format_partition(la),
+                                        "mu": _format_partition(mu),
+                                        "nu": _format_partition(nu),
                                         "oracle": oracle,
                                         "printed_formula": printed,
                                         "doubled_threshold": doubled,
@@ -514,8 +512,11 @@ def run_suite(
     size_max: int = 6,
     jobs: int = 1,
 ) -> Report:
-    for bound, value, least in (("n_max", n_max, 2), ("k_max", k_max, 1)):
-        if value < least:  # the (n, k) grid would be empty
+    # smaller values leave the (n, k) grid or the sizes empty, or count no workers
+    for bound, value, least in (
+        ("n_max", n_max, 2), ("k_max", k_max, 1), ("size_max", size_max, 0), ("jobs", jobs, 0)
+    ):
+        if value < least:
             raise ValueError(f"{bound} must be at least {least}, got {value}")
     started = time.perf_counter()
     checks: list[CheckResult] = []

@@ -310,12 +310,17 @@ def test_verify_each_suite(capsys, suite):
         ("duality", "--k-max", "0", "k_max must be at least 1, got 0"),
         ("paths-identity", "--n-max", "1", "n_max must be at least 2, got 1"),
         ("all", "--n-max", "1", "n_max must be at least 2, got 1"),
+        ("monotone", "--size-max", "-1", "size_max must be at least 0, got -1"),
+        ("all", "--size-max", "-1", "size_max must be at least 0, got -1"),
+        ("monotone", "--jobs", "-3", "jobs must be at least 0, got -3"),
     ],
-    ids=["monotone-n1", "duality-k0", "paths-identity-n1", "all-n1"],
+    ids=["monotone-n1", "duality-k0", "paths-identity-n1", "all-n1", "monotone-size-1",
+         "all-size-1", "monotone-jobs-3"],
 )
 def test_verify_rejects_bounds_that_leave_no_grid(capsys, suite, flag, value, message):
-    # each (n, k) sweep would run nothing; the error names the bound, not the suite
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value, "--jobs", "1")
+    # each sweep would run nothing, or run serially under a negative jobs count; the error
+    # names the bound, not the suite, and comes before any sweep runs
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--jobs", "1", flag, value)
     assert (code, out, err) == (cli.EXIT_INPUT_ERROR, "", f"error: {message}\n")
 
 

@@ -9,10 +9,17 @@ import fusionkit
 from fusionkit import (
     FusionContext,
     LatticePath,
+    count_paths,
     enumerate_paths,
     fusion_rule,
     fusion_tableaux,
+    gepner_witten,
     is_restricted,
+    lr_lattice,
+    lr_paths,
+    omega_terms,
+    quotient,
+    rank_level_dual,
 )
 
 
@@ -52,6 +59,76 @@ def test_public_entry_points_normalize_and_validate():
             route((1,), (1, 2), (2, 2), ctx)
     with pytest.raises(ValueError):
         LatticePath((1, 2), (), ())
+    # each entry point with its arguments, once as given and once padded with zeros
+    calls = [
+        (quotient, [(3, 2, 1)], (ctx,)),
+        (rank_level_dual, [(2, 1)], (ctx,)),
+        (lr_paths, [(2, 1), (2, 1), (3, 2, 1)], ()),
+        (lr_lattice, [(2, 1), (2, 1), (3, 2, 1)], ()),
+        (count_paths, [(1,), (2, 1)], ()),
+        (count_paths, [(1,), (2, 1)], (ctx,)),
+        (lambda *a: list(omega_terms(*a)), [(1,), (1, 1), (2, 1)], ()),
+        (lambda *a: list(omega_terms(*a)), [(1,), (1, 1), (2, 1)], (ctx,)),
+        (gepner_witten, [(1,), (1,), (1, 1)], (1,)),
+    ]
+    for fn, shapes, rest in calls:
+        result = fn(*shapes, *rest)
+        assert result, fn  # a nonzero answer, so that padding could change it
+        assert fn(*(s + (0, 0) for s in shapes), *rest) == result, fn
+        for i in range(len(shapes)):
+            with pytest.raises(ValueError):
+                fn(*shapes[:i], (1, 2), *shapes[i + 1 :], *rest)
+    with pytest.raises(ValueError, match="more than 3 parts"):
+        quotient((1, 1, 1, 1), ctx)
+    with pytest.raises(ValueError, match="more than two rows"):
+        gepner_witten((1, 1, 1), (1,), (2, 1, 1), 3)
+
+
+def test_shapes_are_validated_once():
+    # the rule of fusionkit.partitions: a shape that normalize returned goes on to the
+    # private cores, never back to normalize or to a public partitions function that
+    # normalizes it again; and a private function, which holds normalized shapes, never
+    # calls conjugate
+    package = pathlib.Path(fusionkit.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+    def is_call(node, name):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+    def calls(tree, name):
+        return [n for n in ast.walk(tree) if is_call(n, name)]
+
+    wrappers = {"normalize"} | {
+        node.name
+        for node in trees["partitions"].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and calls(node, "normalize")
+    }
+    assert {"conjugate", "is_restricted", "is_edge", "is_border", "format_partition"} <= wrappers
+    offences = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = {}  # name -> last line of its first binding from normalize(...)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = [(target, node.value)]
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                            pairs = zip(target.elts, node.value.elts)
+                        for t, v in pairs:
+                            if isinstance(t, ast.Name) and is_call(v, "normalize"):
+                                bound[t.id] = min(bound.get(t.id, node.end_lineno), node.end_lineno)
+            for wrapper in sorted(wrappers):
+                for call in calls(fn, wrapper):
+                    for arg in call.args:
+                        if isinstance(arg, ast.Name) and call.lineno > bound.get(arg.id, call.lineno):
+                            offences.add(f"{module}.{fn.name} passes {arg.id} to {wrapper}")
+            if fn.name.startswith("_") and calls(fn, "conjugate"):
+                offences.add(f"{module}.{fn.name} is private and calls conjugate")
+    assert not offences, sorted(offences)
 
 
 def test_module_caches_are_bounded():

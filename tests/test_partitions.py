@@ -4,6 +4,7 @@ from hypothesis import given
 from conftest import partition_strategy
 from fusionkit.partitions import (
     FusionContext,
+    _contains,
     _format_partition,
     conjugate,
     format_partition,
@@ -89,6 +90,15 @@ def test_conjugate_values():
 def test_conjugate_involution_exhaustive():
     for p in partitions_up_to(12):
         assert conjugate(conjugate(p)) == p
+
+
+def test_contains_is_inclusion_of_box_sets():
+    shapes = list(partitions_up_to(6))
+    assert () in shapes
+    boxes = {p: {(r, c) for r, part in enumerate(p) for c in range(part)} for p in shapes}
+    for outer in shapes:
+        for inner in shapes:
+            assert _contains(outer, inner) == (boxes[inner] <= boxes[outer]), (outer, inner)
 
 
 def test_is_restricted():

@@ -5,7 +5,7 @@ import pytest
 
 from fusionkit.partitions import (
     FusionContext,
-    contains,
+    _contains,
     normalize,
     partitions_up_to,
     restricted_partitions_of,
@@ -92,7 +92,7 @@ def test_decreasing_path_counts_are_indicators():
     for nu in partitions_up_to(6):
         for la in subpartitions(nu):
             r = sum(nu) - sum(la)
-            if r == 0 or not contains(nu, la):
+            if r == 0 or not _contains(nu, la):
                 continue
             paths = enumerate_paths(la, nu, (r,))
             full_la = la + (0,) * (len(nu) - len(la))
