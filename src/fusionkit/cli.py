@@ -108,6 +108,8 @@ def _explain(la, mu, nu, ctx) -> None:
 
 
 def _cmd_table(args) -> int:
+    if args.max_size < 0:
+        raise _InputError(f"max_size must be at least 0, got {args.max_size}")
     mu = _partition_arg(args.mu)
     ctx = FusionContext(args.n, args.k)
     mu_text = _format_partition(mu)

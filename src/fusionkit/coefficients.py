@@ -17,8 +17,8 @@ fillings with a lattice word) are the fast routes the sum certifies;
 Public functions validate their arguments once, by the rule in
 ``fusionkit.partitions``, the two fast routes through one guard
 (``_fast_route``); the private cores (``_fusion_row``, ``_fusion_rule``,
-``_fusion_tableaux``, ``_lr_paths``) take normalized input that the caller
-has already checked.
+``_fusion_tableaux``, ``_lr_paths``, ``_count_paths``) take normalized input
+that the caller has already checked.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def _fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
     return sum(
         1
         for p in enumerate_paths(la, nu, mu_conj, ctx)
-        if _fits(p, mu_conj) and not in_D2(p, ctx).is_member
+        if _fits(p, mu_conj) and not in_D2(p, ctx)
     )
 
 
@@ -334,7 +334,11 @@ def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
     """Single-box chains la -> nu; with a context, every shape on the chain
     (la and nu included) must be restricted.  Counted by endpoint one box
     at a time over ``vertical_strips``, as ``strip_chain_counts`` does."""
-    la, nu = normalize(la), normalize(nu)
+    return _count_paths(normalize(la), normalize(nu), ctx)
+
+
+def _count_paths(la, nu, ctx: FusionContext | None) -> int:
+    """``count_paths`` of normalized shapes."""
     if not _contains(nu, la):
         return 0
     if ctx is not None and not (_restricted(la, ctx) and _restricted(nu, ctx)):
@@ -369,7 +373,7 @@ def _path_identity_sides(la, nu, ctx: FusionContext, rows) -> tuple[int, int]:
     for mu in restricted_partitions_of(sum(nu) - sum(la), ctx):
         if mu not in rows:
             signed = _signed_compositions(mu, ctx.n)
-            rows[mu] = (_fusion_row(la, signed, ctx), count_paths((), mu, ctx))
+            rows[mu] = (_fusion_row(la, signed, ctx), _count_paths((), mu, ctx))
         row, standard = rows[mu]
         rhs += row.get(nu, 0) * standard
-    return count_paths(la, nu, ctx), rhs
+    return _count_paths(la, nu, ctx), rhs

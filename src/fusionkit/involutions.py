@@ -5,10 +5,12 @@ paths.  At level k it breaks down on one exceptional family of two-block
 paths (domain D1) where the raising move would push the intermediate
 shape past the level bound; ``phi1`` and its inverse ``phi2`` repair
 exactly that family, and ``phi`` dispatches between the two.  The D1 and
-D2 tests read a two-block path once, as its pair word with the box of
-each letter, and work out the phi1 or phi2 move as they decide.  Off both
-domains phi takes psi's move instead.  Every move, of psi or phi, keeps
-the pair's boxes and re-cuts them along its image word in one splice.
+D2 tests first run the checks that the steps and the target decide on
+their own; a path that passes them is read once, as its pair word with
+the box of each letter, and the phi1 or phi2 move is worked out as the
+test decides.  Off both domains phi takes psi's move instead.  Every
+move, of psi or phi, keeps the pair's boxes and re-cuts them along its
+image word in one splice.
 """
 
 from __future__ import annotations
@@ -213,95 +215,54 @@ def _apply(name: str, path: LatticePath, move, ctx: FusionContext) -> LatticePat
     return new_path
 
 
-@dataclass(frozen=True, slots=True)
-class D2Certificate:
-    """Evaluation of the four membership conditions for the domain D2.
+def _d2_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
+    """(word, phi2 image, kept position, boxes) for a path in D2, else None.
 
-    ``column_strict``: the path fits its two-column shape.
-    ``structure_ok``: edge target with exactly one first-row step and
-    exactly one row-n step, the latter in block 1.
-    ``last_column_ok``: the target's last column holds second-block
-    letters whose top one is not paired with the letter just left of the
-    column's bottom box.
-    ``top_ok``: the smallest letter is an unpaired left parenthesis or
-    paired with the kept last-column letter.
+    A member has an edge target, one first-row and one row-n step, the
+    latter in block 1; it fits its two-column shape; the top second-block
+    letter of the target's last column (the kept letter) is not paired with
+    the letter left of the column's bottom box; and the smallest letter is
+    an unpaired left parenthesis or paired with the kept letter.  The word
+    is read, as in ``_d1_move``, only after the step and target checks.
     """
-
-    column_strict: bool
-    structure_ok: bool
-    last_column_ok: bool
-    top_ok: bool
-    a_labels: tuple[int, ...]
-    a_i0: int | None
-    a1_neighbor: int | None
-    b_i0: int | None
-
-    @property
-    def is_member(self) -> bool:
-        return self.column_strict and self.structure_ok and self.last_column_ok and self.top_ok
-
-
-def _d2(path: LatticePath, ctx: FusionContext) -> tuple[D2Certificate, tuple | None]:
-    """The D2 certificate, and for a member the phi2 move (word, image,
-    position of the kept last-column letter, boxes)."""
     if len(path.ascents) != 2 or not path.ascents[0] >= path.ascents[1] > 0:
         raise ValueError("D2 is defined for two nonempty blocks with the first at least as long")
-    p = path.ascents[0]
-    nu = path.target
-    w, boxes = _read(path)
-    column_strict = word_type(w)[1] == 0  # fits(path, conjugate(ascents)): one block pair
-
     rows = [row for row, _ in path.steps]
-    structure_ok = (
-        is_edge(nu, ctx) and rows.count(1) == 1 and rows.count(ctx.n) == 1 and ctx.n in rows[:p]
-    )
-
-    a_positions = [i for i, box in enumerate(boxes) if box[1] == nu[0]]  # bottom to top
-    a_labels = tuple(w.letters[i][0] for i in a_positions)
-    second_block = [i for i in a_positions if w.letters[i][1] == 2]
-    a_i0_pos = second_block[-1] if second_block else None
-    a1_neighbor = None
-    last_column_ok = a_i0_pos is not None
-    if last_column_ok:
-        row, col = boxes[a_positions[0]]
-        if (row, col - 1) in boxes:
-            i = boxes.index((row, col - 1))
-            a1_neighbor = w.letters[i][0]
-            last_column_ok = w.partner[a_i0_pos] != i
-
+    if rows.count(1) != 1 or rows.count(ctx.n) != 1 or ctx.n not in rows[: path.ascents[0]]:
+        return None
+    nu = path.target
+    if not is_edge(nu, ctx):
+        return None
+    w, boxes = _read(path)
+    _trace("membership word", w)
+    if word_type(w)[1] != 0:  # fits(path, conjugate(ascents)): one block pair
+        return None
+    column = [i for i, box in enumerate(boxes) if box[1] == nu[0]]  # bottom to top
+    second = [i for i in column if w.letters[i][1] == 2]
+    if not second:
+        return None
+    kept = second[-1]
+    row, col = boxes[column[0]]
+    if (row, col - 1) in boxes and w.partner[kept] == boxes.index((row, col - 1)):
+        return None
     # both blocks are nonempty, so the word has a first letter
-    top_ok = (w.letters[0][1] == 1 and w.partner[0] is None) or (
-        a_i0_pos is not None and w.partner[0] == a_i0_pos
-    )
-
-    b_i0_pos = w.partner[a_i0_pos] if a_i0_pos is not None else None
-    _trace("membership word", w, a_i0_pos)
-    cert = D2Certificate(
-        column_strict=column_strict,
-        structure_ok=structure_ok,
-        last_column_ok=last_column_ok,
-        top_ok=top_ok,
-        a_labels=a_labels,
-        a_i0=w.letters[a_i0_pos][0] if a_i0_pos is not None else None,
-        a1_neighbor=a1_neighbor,
-        b_i0=w.letters[b_i0_pos][0] if b_i0_pos is not None else None,
-    )
-    if not cert.is_member:
-        return cert, None
+    if not ((w.letters[0][1] == 1 and w.partner[0] is None) or w.partner[0] == kept):
+        return None
     # a column-strict word pairs every right parenthesis, the kept letter's too
-    flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [b_i0_pos]
-    return cert, (w, flip_positions(w, flips), a_i0_pos, boxes)
+    flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [w.partner[kept]]
+    return w, flip_positions(w, flips), kept, boxes
 
 
-def in_D2(path: LatticePath, ctx: FusionContext) -> D2Certificate:
-    """Evaluate D2 membership for a two-block path with |P1| >= |P2|."""
-    return _d2(path, ctx)[0]
+def in_D2(path: LatticePath, ctx: FusionContext) -> bool:
+    """D2 membership for a two-block path with |P1| >= |P2| > 0: the fitting
+    paths that phi1 maps onto, which the level-k count excludes."""
+    return _d2_move(path, ctx) is not None
 
 
 def phi2(path: LatticePath, ctx: FusionContext) -> LatticePath:
     """Inverse of phi1: move the unpaired first-block letters back, plus
     the partner of the kept last-column letter."""
-    return _apply("phi2", path, _d2(path, ctx)[1], ctx)
+    return _apply("phi2", path, _d2_move(path, ctx), ctx)
 
 
 def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
@@ -322,10 +283,9 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
     if a < b:
         name, move = "phi1", _d1_move(path, ctx)
     else:
-        cert, move = _d2(path, ctx)
-        if move is None and cert.column_strict:
+        name, move = "phi2", _d2_move(path, ctx)
+        if move is None and _fits(path, mu_conj):
             return term
-        name = "phi2"
     if move is None:
         name, move = "psi", _psi_move(path, 1)
     swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)
@@ -337,4 +297,4 @@ def is_k_fusion(path: LatticePath, ctx: FusionContext, mu) -> bool:
     mu = normalize(mu)
     if any(not _restricted(s, ctx) for s in boundary_shapes(path)):
         return False
-    return _fits(path, _conjugate(mu)) and not in_D2(path, ctx).is_member
+    return _fits(path, _conjugate(mu)) and not in_D2(path, ctx)

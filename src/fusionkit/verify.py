@@ -286,9 +286,9 @@ def _fusion_chunk(args) -> list[CheckResult]:
                 path = term.path
                 if in_D1(path, ctx):
                     img = phi1(path, ctx)
-                    image_d2.record(in_D2(img, ctx).is_member, **info)
+                    image_d2.record(in_D2(img, ctx), **info)
                     round_trip_1.record(phi2(img, ctx) == path, **info)
-                if path.ascents[0] >= path.ascents[1] and in_D2(path, ctx).is_member:
+                if path.ascents[0] >= path.ascents[1] and in_D2(path, ctx):
                     img = phi2(path, ctx)
                     round_trip_2.record(in_D1(img, ctx) and phi1(img, ctx) == path, **info)
             fixed_eq.record(len(fixed) == oracle, **info, fixed=len(fixed), oracle=oracle)

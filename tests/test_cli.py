@@ -186,7 +186,7 @@ def test_one_process_serves_requests_like_fresh_ones():
 
 def test_trace_lines_only_when_enabled():
     # the setting is read once, at import, so only a fresh interpreter sees it
-    argv = [sys.executable, "-m", "fusionkit.cli", "fusion", "1", "2,1", "2,2",
+    argv = [sys.executable, "-m", "fusionkit.cli", "fusion", "2,1", "2,1", "3,2,1",
             "--n", "3", "--k", "2", "--explain"]
     env = {key: value for key, value in os.environ.items() if key != "FUSIONKIT_TRACE"}
     env["PYTHONPATH"] = str(SRC)
@@ -238,6 +238,15 @@ def test_table_csv_and_empty(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "lambda,mu,nu,n,k,N"
     assert lines[1:] == ["0,1,1,2,1,1"]
+
+
+def test_table_rejects_a_negative_max_size(capsys):
+    # a negative bound would list no lambda and print an empty table with exit 0
+    code, out, err = run_cli(
+        capsys, "table", "--n", "2", "--k", "1", "--mu", "1", "--max-size", "-3"
+    )
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == "error: max_size must be at least 0, got -3\n"
 
 
 # Every check counts something at these bounds; the counts pin what the

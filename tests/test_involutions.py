@@ -1,8 +1,11 @@
 import pytest
 
+from fusionkit import involutions
+
 from fusionkit.coefficients import fusion_oracle, lr_paths, omega_terms
 from fusionkit.involutions import (
     SignedTerm,
+    _d2_move,
     _read,
     _splice,
     canonical_violation,
@@ -17,6 +20,7 @@ from fusionkit.involutions import (
 from fusionkit.partitions import (
     FusionContext,
     conjugate,
+    is_edge,
     is_restricted,
     normalize,
     partitions_of,
@@ -30,7 +34,7 @@ from fusionkit.paths import (
     path_from_label_blocks,
     path_to_tableau,
 )
-from fusionkit.words import _from_letters, fits, flip_positions, pair_word
+from fusionkit.words import _from_letters, fits, flip_positions, pair_word, word_type
 
 CTX32 = FusionContext(3, 2)
 CTX43 = FusionContext(4, 3)
@@ -176,7 +180,7 @@ def test_phi_splice_equals_a_full_rebuild():
                                 d1 += 1
                                 assert image == phi1(path, ctx)
                             elif path.ascents[0] >= path.ascents[1] and fits(path, mu):
-                                if in_D2(path, ctx).is_member:
+                                if in_D2(path, ctx):
                                     d2 += 1
                                     assert image == phi2(path, ctx)
     assert d1 == d2 > 10  # phi1 and phi2 trade the two domains one for one
@@ -215,8 +219,7 @@ def test_phi1_outside_domain():
 def test_phi2_inverts_phi1_on_examples():
     for path, ctx in [(example4_path(), CTX43), (example5_path(), CTX32)]:
         image = phi1(path, ctx)
-        cert = in_D2(image, ctx)
-        assert cert.is_member
+        assert in_D2(image, ctx)
         assert phi2(image, ctx) == path
 
 
@@ -238,26 +241,85 @@ def test_prop11_word_mechanics():
 
 
 def test_in_D2_certificate_fields():
-    cert = in_D2(phi1(example4_path(), CTX43), CTX43)
-    assert cert.is_member
-    assert cert.a_labels == (1, 2, 3)
-    assert cert.a_i0 == 2
-    assert cert.a1_neighbor == 0
-    assert cert.b_i0 == -3
+    # phi1 of Example 4 lies in D2: the last column holds labels 1, 2, 3 bottom to
+    # top, the kept letter 2 pairs with -3, and the bottom box's left neighbour is 0
+    image = phi1(example4_path(), CTX43)
+    w, _, kept, boxes = _d2_move(image, CTX43)
+    column = [i for i, box in enumerate(boxes) if box[1] == image.target[0]]
+    assert tuple(w.letters[i][0] for i in column) == (1, 2, 3)
+    assert w.letters[kept][0] == 2
+    assert w.letters[w.partner[kept]][0] == -3
+    row, col = boxes[column[0]]
+    assert w.letters[boxes.index((row, col - 1))][0] == 0
 
 
 def test_in_D2_rejects_non_edge():
     p = path_from_label_blocks((1,), [(-1,), (1,)])
     assert p.target == (2, 1)
-    cert = in_D2(p, FusionContext(3, 3))
-    assert fits(p, (2,)) and not cert.structure_ok and not cert.is_member
+    assert fits(p, (2,)) and not in_D2(p, FusionContext(3, 3))
 
 
 def test_in_D2_needs_second_block_in_last_column():
     p = path_from_label_blocks((2, 1), [(2, -2), (0,)])
     assert fits(p, conjugate(p.ascents))
-    cert = in_D2(p, CTX32)
-    assert not cert.last_column_ok and not cert.is_member
+    assert not in_D2(p, CTX32)
+
+
+def _d2_reference(path, ctx):
+    # the four D2 conditions, each evaluated in full from the pair word with no early
+    # exit: whether the step and target tests pass, and for a member the phi2 image
+    w, boxes = _read(path)
+    nu, rows = path.target, [row for row, _ in path.steps]
+    column_strict = word_type(w)[1] == 0
+    structure = (
+        is_edge(nu, ctx)
+        and rows.count(1) == 1
+        and rows.count(ctx.n) == 1
+        and ctx.n in rows[: path.ascents[0]]
+    )
+    column = [i for i, box in enumerate(boxes) if box[1] == nu[0]]
+    second = [i for i in column if w.letters[i][1] == 2]
+    kept = second[-1] if second else None
+    last_column = kept is not None
+    if last_column:
+        row, col = boxes[column[0]]
+        if (row, col - 1) in boxes:
+            last_column = w.partner[kept] != boxes.index((row, col - 1))
+    top = (w.letters[0][1] == 1 and w.partner[0] is None) or (
+        kept is not None and w.partner[0] == kept
+    )
+    if not (column_strict and structure and last_column and top):
+        return structure, None
+    flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [w.partner[kept]]
+    return structure, _splice(path, 1, flip_positions(w, flips), boxes)[0]
+
+
+def test_in_D2_equals_the_four_conditions_evaluated_in_full(monkeypatch):
+    # every two-block path with a >= b > 0 to a restricted nu at n <= 4, k <= 3,
+    # |nu| <= 8, the restricted ones among them; the word is read exactly for the
+    # paths that pass the step and target tests
+    reads = []
+    monkeypatch.setattr(involutions, "_read", lambda path: reads.append(path) or _read(path))
+    checked, members = 0, 0
+    for n in range(2, 5):
+        for k in range(1, 4):
+            ctx = FusionContext(n, k)
+            for nu in partitions_up_to(8, max_len=n):
+                if not is_restricted(nu, ctx):
+                    continue
+                for la in subpartitions(nu):
+                    rest = sum(nu) - sum(la)
+                    for b in range(1, rest // 2 + 1):
+                        for path in enumerate_paths(la, nu, (rest - b, b)):
+                            structure, expected = _d2_reference(path, ctx)
+                            reads.clear()
+                            assert in_D2(path, ctx) == (expected is not None), path
+                            assert reads == ([path] if structure else []), path
+                            if expected is not None:
+                                assert phi2(path, ctx) == expected
+                                members += 1
+                            checked += 1
+    assert (checked, members) == (1218, 72)
 
 
 def test_phi_uses_psi_off_the_exceptional_domain():
@@ -343,5 +405,5 @@ def test_exceptional_instance_at_rank_five():
     assert fusion_oracle(la, mu, nu, ctx) == 0
     (p,) = enumerate_paths(la, nu, conjugate(mu), ctx)
     assert fits(p, mu)
-    assert in_D2(p, ctx).is_member
+    assert in_D2(p, ctx)
     assert not is_k_fusion(p, ctx, mu)

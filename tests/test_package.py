@@ -167,7 +167,8 @@ def test_module_caches_are_bounded():
 def test_no_unused_imports_or_private_names():
     # what a deleted helper leaves behind: an unused import or an unreferenced private
     # name, a public routine of the core layers that nothing exports or reads, a method
-    # or property of a core class that nothing reads, or an export that nothing reads
+    # or property of a core class that nothing reads, a field of a core class that nothing
+    # in src reads, or an export that nothing reads
     package = pathlib.Path(fusionkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     referenced = set()
@@ -202,20 +203,26 @@ def test_no_unused_imports_or_private_names():
                     assert name in exported | referenced, (
                         f"fusionkit.{module}.{name} is neither exported nor read in src"
                     )
-    # a method is read as an attribute, in src or in the tests
+    # a method is read as an attribute, in src or in the tests; a dataclass field in src
+    def attributes(trees):
+        return {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
     tests = [ast.parse(path.read_text()) for path in pathlib.Path(__file__).parent.glob("*.py")]
-    read = {
-        n.attr for tree in [*trees.values(), *tests] for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute)
-    }
+    read, read_in_src = attributes([*trees.values(), *tests]), attributes(trees.values())
+    unread = []
     for module in core:
         for cls in trees[module].body:
             for node in cls.body if isinstance(cls, ast.ClassDef) else ():
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
-                    assert node.name in read, (
-                        f"fusionkit.{module}.{cls.name}.{node.name} is never read"
-                    )
+                    if node.name not in read:
+                        unread.append(f"{module}.{cls.name}.{node.name}")
+                elif isinstance(node, ast.AnnAssign) and node.target.id not in read_in_src:
+                    unread.append(f"{module}.{cls.name}.{node.target.id}")
+    assert not unread, f"nothing reads {unread}"
     # entry points for callers that src itself has no use for
-    kept = {"is_border", "quotient", "path_from_label_blocks", "verify_restricted_path_identity"}
+    kept = {
+        "count_paths", "is_border", "quotient", "path_from_label_blocks",
+        "verify_restricted_path_identity",
+    }
     unread = sorted(exported - referenced - kept)
     assert not unread, f"fusionkit exports {unread}, which nothing in src reads"

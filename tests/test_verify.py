@@ -1,6 +1,6 @@
 import pytest
 
-from fusionkit import verify
+from fusionkit import coefficients, verify
 from fusionkit.coefficients import _fusion_row, _signed_compositions, omega_terms
 from fusionkit.involutions import SignedTerm
 from fusionkit.partitions import FusionContext, _restricted
@@ -17,6 +17,7 @@ from fusionkit.verify import (
     duality_checks,
     fusion_involution_checks,
     monotone_checks,
+    path_identity_checks,
 )
 
 
@@ -103,3 +104,14 @@ def test_failed_records_name_their_check():
     reports = [Report("all", {"n_max": 2}, [c], 0.5) for c in (check, named)]
     assert not reports[0].ok
     assert reports[0].to_json() == reports[1].to_json()
+
+
+def test_path_identity_sweep_normalizes_nothing_again(monkeypatch):
+    # its shapes come normalized from the sweep, so neither side of the identity
+    # sends them back through coefficients.normalize
+    calls = []
+    original = coefficients.normalize
+    monkeypatch.setattr(coefficients, "normalize", lambda p: calls.append(p) or original(p))
+    (identity,) = path_identity_checks(3, 3, 5)
+    assert identity.passed and identity.checked
+    assert calls == []
