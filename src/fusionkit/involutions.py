@@ -19,11 +19,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .partitions import FusionContext, _conjugate, _restricted, is_edge, normalize, perm_sign
+from .partitions import FusionContext, _conjugate, _perm_sign, _restricted, is_edge, normalize
 from .paths import (
     Box,
     LatticePath,
     PathTableau,
+    _trusted_path,
     _walk,
     boundary_shapes,
     path_to_tableau,
@@ -57,7 +58,7 @@ class SignedTerm:
     sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sign", perm_sign(self.sigma))
+        object.__setattr__(self, "sign", _perm_sign(tuple(self.sigma)))
 
 
 def canonical_violation(tableau: PathTableau, mu) -> int | None:
@@ -125,12 +126,15 @@ def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[Latti
     letters between the blocks and keeps their boxes (a moved label occurs
     once in the pair), so each box joins its letter's block in ``image``,
     read backwards into add order.  A block that is not a vertical strip
-    raises ``RuntimeError``.
+    raises ``RuntimeError``.  The steps before the pair are trusted: the
+    start shape takes each row's length from the last box in that row.
     """
     lo = sum(path.ascents[: r - 1])
     backwards = list(zip(reversed(image.letters), reversed(boxes)))
     first, second = (tuple(box for (_, blk), box in backwards if blk == b) for b in (1, 2))
-    start = _walk(path.base, path.steps[:lo])
+    cols = dict(path.steps[:lo])  # row -> column of its last box
+    padded = path.base + (0,) * (max(cols, default=0) - len(path.base))
+    start = tuple(cols.get(row, part) for row, part in enumerate(padded, 1))
     try:
         middle = _walk(start, first)
         end = _walk(middle, second)
@@ -138,7 +142,7 @@ def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[Latti
         raise RuntimeError(f"re-cut block pair is not a strip chain: {exc}") from None
     steps = path.steps[:lo] + first + second + path.steps[lo + len(boxes) :]
     ascents = path.ascents[: r - 1] + (len(first), len(second)) + path.ascents[r + 1 :]
-    return LatticePath(path.base, steps, ascents), (start, middle, end)
+    return _trusted_path(path.base, steps, ascents), (start, middle, end)
 
 
 def _read(path: LatticePath, r: int = 1) -> tuple[BracketWord, list[Box]]:

@@ -12,6 +12,7 @@ is, never back through a public function that would validate it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import le, lt
 
 Partition = tuple[int, ...]
@@ -159,6 +160,13 @@ def perm_sign(sigma) -> int:
         if sigma[i] > sigma[j]
     )
     return -1 if inversions % 2 else 1
+
+
+@lru_cache(maxsize=1024)
+def _perm_sign(sigma: tuple[int, ...]) -> int:
+    """``perm_sign`` of a tuple, memoised: a sweep signs each of its few
+    distinct permutations thousands of times."""
+    return perm_sign(sigma)
 
 
 def nonneg_compositions(mu_conj, cap: int):

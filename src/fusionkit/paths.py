@@ -6,8 +6,12 @@ col - row.  A block of consecutive steps with strictly decreasing labels
 adds a vertical strip (at most one box per row), and a path cut into such
 blocks by an ascent composition is the basic object counted throughout.
 Every strip comes from ``vertical_strips``, which walks a padded shape
-box by box.  Only ``path_from_label_blocks`` places labels at addable
-boxes; the involutions re-cut the boxes a block pair already has.
+box by box; ``strip_chains`` reads the strips of each (shape, size,
+target) from a bounded memo of that walk.  Only ``path_from_label_blocks``
+places labels at addable boxes, and only it builds a path through the
+validating ``LatticePath``; the builders that hold a normalized base and
+blocks that cover the steps (``enumerate_paths``, the involutions' re-cut)
+use ``_trusted_path``.
 """
 
 from __future__ import annotations
@@ -91,9 +95,7 @@ class LatticePath:
         if sum(self.ascents) != len(self.steps):
             raise ValueError("ascent blocks must account for every step")
         # every shape along the path is then normalized too (see add_box)
-        base = normalize(self.base)
-        if base != self.base:  # else keep the caller's tuple, shared by its paths
-            object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", normalize(self.base))
 
     @property
     def target(self) -> Partition:
@@ -101,6 +103,16 @@ class LatticePath:
 
     def labels(self) -> tuple[int, ...]:
         return tuple(diagonal_label(b) for b in self.steps)
+
+
+def _trusted_path(base, steps, ascents) -> LatticePath:
+    """``LatticePath(base, steps, ascents)`` without its checks, for a
+    normalized ``base`` and ascents that sum to ``len(steps)``."""
+    path = object.__new__(LatticePath)
+    object.__setattr__(path, "base", base)
+    object.__setattr__(path, "steps", steps)
+    object.__setattr__(path, "ascents", ascents)
+    return path
 
 
 def _walk(shape, boxes) -> Partition:
@@ -160,7 +172,8 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
     A negative size, a weight mismatch or base not inside target yields
     nothing.  With a context, the shapes at block boundaries (base and
     target included) must all be restricted.  ``pair_ok(prev, strip)``
-    prunes a strip that fails against its predecessor.
+    prunes a strip that fails against its predecessor.  The strips of each
+    step come from ``_strips``, the memo of ``vertical_strips``.
     """
     if any(s < 0 for s in sizes) or sum(sizes) != sum(target) - sum(base):
         return
@@ -178,7 +191,7 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
         if i == len(sizes):
             yield tuple(chain)
             return
-        for new_shape, boxes in vertical_strips(shape, sizes[i], within=target):
+        for new_shape, boxes in _strips(shape, sizes[i], target):
             if ctx is not None and not _restricted(new_shape, ctx):
                 continue
             if pair_ok is not None and chain and not pair_ok(chain[-1], boxes):
@@ -188,6 +201,17 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
             chain.pop()
 
     yield from rec(0, base + (0,) * (len(target) - len(base)))
+
+
+@lru_cache(maxsize=256)
+def _strips(shape, size: int, within) -> tuple:
+    """``vertical_strips(shape, size, within)`` as a tuple, in its order.
+
+    A sweep asks for the same strips again and again: at total size 7 the
+    classical sweeps make about 51,500 requests for 2,509 distinct strip
+    lists, and 256 entries answer 95% of them.
+    """
+    return tuple(vertical_strips(shape, size, within))
 
 
 def strip_chain_counts(base, sizes, ctx: FusionContext) -> dict[Partition, int]:
@@ -238,6 +262,6 @@ def enumerate_paths(
     """
     base, target, ascents = normalize(base), normalize(target), tuple(ascents)
     return tuple(
-        LatticePath(base, sum(chain, ()), ascents)
+        _trusted_path(base, sum(chain, ()), ascents)
         for chain in strip_chains(base, target, ascents, ctx)
     )

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from fusionkit import involutions
@@ -139,6 +141,31 @@ def test_psi_involution_small():
                     else:
                         assert image.sign == -term.sign
                 assert signed == fixed == lr_paths(la, mu, nu)
+
+
+def test_psi_swaps_r_and_r_plus_one_and_each_sign_counts_inversions():
+    # psi_reverses_sign compares signs that SignedTerm derives from sigma; this
+    # keeps that check a witness: psi moves sigma by the swap of the violated
+    # pair (r, r + 1), and every sign is the inversion parity counted here
+    def parity(sigma):
+        return -1 if sum(a > b for a, b in combinations(sigma, 2)) % 2 else 1
+
+    moved = 0
+    for nu in partitions_up_to(5):
+        for la in subpartitions(nu):
+            for mu in partitions_of(sum(nu) - sum(la)):
+                for term in omega_terms(la, mu, nu):
+                    assert term.sign == parity(term.sigma), term
+                    image = psi(term, mu)
+                    r = canonical_violation(path_to_tableau(term.path), mu)
+                    if r is None:
+                        assert image == term
+                        continue
+                    swap = {r: r + 1, r + 1: r}
+                    assert image.sigma == tuple(swap.get(v, v) for v in term.sigma), term
+                    assert image.sign == parity(image.sigma) == -term.sign, term
+                    moved += 1
+    assert moved > 400
 
 
 def test_psi_rejects_balanced_gap():

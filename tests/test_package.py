@@ -49,7 +49,8 @@ def test_public_entry_points_normalize_and_validate():
     assert all(p.base == (1,) and p.target == (2, 1) for p in padded_paths)
     for route in (fusion_rule, fusion_tableaux):
         assert route((1, 0), (2, 1, 0), (2, 2, 0), ctx) == route((1,), (2, 1), (2, 2), ctx) == 1
-    assert LatticePath((1, 0), ((1, 2),), (1,)).target == (2,)
+    padded_path = LatticePath((1, 0), ((1, 2),), (1,))
+    assert padded_path.base == (1,) and padded_path.target == (2,)
     with pytest.raises(ValueError):
         is_restricted((1, 2), ctx)
     with pytest.raises(ValueError):
@@ -128,6 +129,10 @@ def test_shapes_are_validated_once():
                             offences.add(f"{module}.{fn.name} passes {arg.id} to {wrapper}")
             if fn.name.startswith("_") and calls(fn, "conjugate"):
                 offences.add(f"{module}.{fn.name} is private and calls conjugate")
+            # the validating constructor is for a path read from labels; a builder
+            # that holds a normalized base and covering blocks uses _trusted_path
+            if calls(fn, "LatticePath") and fn.name != "path_from_label_blocks":
+                offences.add(f"{module}.{fn.name} builds a path through LatticePath")
     assert not offences, sorted(offences)
 
 
@@ -143,7 +148,11 @@ def test_module_caches_are_bounded():
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_info")
     }
-    assert "fusionkit.paths.enumerate_paths" in caches
+    assert {
+        "fusionkit.paths.enumerate_paths",
+        "fusionkit.paths._strips",
+        "fusionkit.partitions._perm_sign",
+    } <= caches.keys()
     for name, info in caches.items():
         assert info.maxsize is not None, name
     # a cache built inside a function is no module attribute, so read the source:

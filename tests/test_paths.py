@@ -6,6 +6,7 @@ import pytest
 from fusionkit.partitions import (
     FusionContext,
     _contains,
+    is_restricted,
     normalize,
     partitions_up_to,
     restricted_partitions_of,
@@ -15,6 +16,7 @@ from fusionkit.partitions import (
 from fusionkit.paths import (
     LatticePath,
     _strip_successors,
+    _strips,
     diagonal_label,
     enumerate_paths,
     path_from_label_blocks,
@@ -166,3 +168,39 @@ def test_strip_chain_counts_tally_the_chains():
         for base, sizes, ctx, tally in cases:
             assert strip_chain_counts(base, sizes, ctx) == tally, (base, sizes, ctx, warm)
         assert (_strip_successors.cache_info().misses == misses) == warm
+
+
+def test_strip_chains_read_the_memo_as_a_direct_walk():
+    # the strip memo is transparent: strip_chains yields exactly the chains, in
+    # order, of a walk that asks vertical_strips itself at every step; first
+    # from an empty memo, then again with the memo warm (and past its bound)
+    def direct_walk(base, target, sizes, ctx):
+        if ctx is not None and not (is_restricted(base, ctx) and is_restricted(target, ctx)):
+            return []
+        chains = [((), base + (0,) * (len(target) - len(base)))]
+        for size in sizes:
+            chains = [
+                (chain + (boxes,), new_shape)
+                for chain, shape in chains
+                for new_shape, boxes in vertical_strips(shape, size, target)
+                if ctx is None or is_restricted(new_shape, ctx)
+            ]
+        return [chain for chain, _ in chains]
+
+    cases = []
+    for target in partitions_up_to(6):
+        for base in subpartitions(target):
+            rest = sum(target) - sum(base)
+            for m in (1, 2, 3):
+                for sizes in product(range(rest + 1), repeat=m):
+                    if sum(sizes) == rest:
+                        for ctx in (None, FusionContext(2, 2), FusionContext(3, 1)):
+                            cases.append((base, target, sizes, ctx))
+    expected = [direct_walk(*case) for case in cases]
+    assert sum(map(bool, expected)) > 2000  # of 9,261 cases
+    _strips.cache_clear()
+    for warm in (False, True):
+        hits = _strips.cache_info().hits
+        for case, chains in zip(cases, expected):
+            assert list(strip_chains(*case)) == chains, (case, warm)
+        assert _strips.cache_info().hits > hits
