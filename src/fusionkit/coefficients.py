@@ -313,13 +313,11 @@ def _fusion_row(la, signed, ctx: FusionContext, chains=None) -> dict[Partition, 
 
 def gepner_witten(la, mu, nu, k: int) -> int:
     """Two-row closed form: the classical coefficient when twice the level
-    clears the sum of the three row differences, else zero."""
-    return _gepner_witten_printed(la, mu, nu, 2 * k)
+    clears the sum of the three row differences, else zero.
 
-
-def _gepner_witten_printed(la, mu, nu, k: int) -> int:
-    """The closed form with its threshold as printed, k in place of 2k;
-    the oracle refutes it (see reports/gepner_witten_n2.md)."""
+    The form as printed has k where this has 2k; the oracle refutes it,
+    see ``reports/gepner_witten_n2.md`` and the script that writes it.
+    """
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     for p in (la, mu, nu):
         if len(p) > 2:
@@ -327,7 +325,7 @@ def _gepner_witten_printed(la, mu, nu, k: int) -> int:
     if not _weight_ok(la, mu, nu) or not _contains(nu, la):
         return 0
     threshold = sum(a - b for a, b in (p + (0,) * (2 - len(p)) for p in (la, mu, nu)))
-    return _lr_paths(la, mu, nu) if k >= threshold else 0
+    return _lr_paths(la, mu, nu) if 2 * k >= threshold else 0
 
 
 def count_paths(la, nu, ctx: FusionContext | None = None) -> int:

@@ -272,7 +272,7 @@ SMOKE_COUNTS = [
     ("duality_invariance", 131),
     ("dual_of_low_shape_is_conjugate", 7),
     ("restricted_path_identity", 118),
-    ("gepner_witten_comparison_report", 489),
+    ("gepner_witten_equals_oracle", 440),
 ]
 
 

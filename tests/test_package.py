@@ -136,6 +136,37 @@ def test_shapes_are_validated_once():
     assert not offences, sorted(offences)
 
 
+def test_only_a_record_counts_a_check():
+    # CheckResult.checked counts the cases a check recorded, so each could have
+    # failed; a sweep that wrote a count itself would report cases it never tested
+    package = pathlib.Path(fusionkit.__file__).parent
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "CheckResult"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+        }
+        for node in ast.walk(tree):
+            writes = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "checked"
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and any(isinstance(a, ast.Constant) and a.value == "checked" for a in node.args)
+            )
+            if writes and id(node) not in own:
+                offences.append(f"{path.name}:{node.lineno}")
+    assert not offences, f"only CheckResult's methods may set checked: {offences}"
+
+
 def test_module_caches_are_bounded():
     # no module-level cache may grow without bound
     modules = [

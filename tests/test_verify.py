@@ -1,10 +1,10 @@
 import pytest
 
 from fusionkit import coefficients, verify
-from fusionkit.coefficients import _fusion_row, _signed_compositions, omega_terms
-from fusionkit.involutions import SignedTerm
+from fusionkit.coefficients import _fusion_row, _signed_compositions, lr_paths, omega_terms
+from fusionkit.involutions import SignedTerm, canonical_violation
 from fusionkit.partitions import FusionContext, _restricted
-from fusionkit.paths import boundary_shapes
+from fusionkit.paths import boundary_shapes, path_to_tableau
 from fusionkit.verify import (
     MAX_COUNTEREXAMPLES,
     CheckResult,
@@ -16,6 +16,7 @@ from fusionkit.verify import (
     classical_involution_checks,
     duality_checks,
     fusion_involution_checks,
+    gepner_witten_checks,
     monotone_checks,
     path_identity_checks,
 )
@@ -63,6 +64,43 @@ def test_the_image_table_cannot_hide_a_broken_involution(monkeypatch):
     monkeypatch.setattr(verify, "phi", phi_fixes_one_sigma)
     assert not _passed(classical_involution_checks(5))["psi_squared_identity"]
     assert not _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
+
+
+def test_an_image_outside_the_terms_breaks_the_square_law(monkeypatch):
+    # swapping the positions r, r + 1 of sigma instead of its values r, r + 1 gives
+    # the image a sigma that no term has; any transposition still flips the sign,
+    # and mapping that image again by the same wrong rule would return the term
+    psi = verify.psi
+
+    def psi_swaps_positions(term, mu):
+        image = psi(term, mu)
+        if image == term:
+            return image
+        r = canonical_violation(path_to_tableau(term.path), mu)
+        sigma = list(term.sigma)
+        sigma[r - 1], sigma[r] = sigma[r], sigma[r - 1]
+        return SignedTerm(tuple(sigma), image.path)
+
+    monkeypatch.setattr(verify, "psi", psi_swaps_positions)
+    squared = {c.name: c for c in classical_involution_checks(5)}["psi_squared_identity"]
+    assert not squared.passed
+    assert squared.checked == 606
+
+
+def test_gepner_witten_check_refutes_the_printed_threshold(monkeypatch):
+    (closed_form,) = gepner_witten_checks(4, 7)
+    assert (closed_form.name, closed_form.checked, closed_form.passed) == (
+        "gepner_witten_equals_oracle", 440, True
+    )
+
+    def printed(la, mu, nu, k):
+        # the closed form with k where the true threshold has 2k
+        threshold = sum(p[0] - p[1] for p in ((*s, 0, 0) for s in (la, mu, nu)))
+        return lr_paths(la, mu, nu) if k >= threshold else 0
+
+    monkeypatch.setattr(verify, "gepner_witten", printed)
+    (closed_form,) = gepner_witten_checks(4, 7)
+    assert not closed_form.passed and closed_form.checked == 440
 
 
 def test_unobstructed_counts_equal_the_boundary_walk():
