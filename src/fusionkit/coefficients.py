@@ -10,15 +10,16 @@ reuses one list.  ``fusion_expand`` is that row for one (la, mu),
 ``fusion_oracle`` reads one nu of it, and ``omega_terms`` lists the
 individual signed terms the involutions act on.  ``fusion_rule`` (path
 counting with the level correction) and ``fusion_tableaux`` (skew
-fillings with a lattice word) are the fast routes the sum certifies;
-``fusion_tableaux`` and ``lr_lattice`` walk the same fillings
-(``_fillings``).
+fillings with a lattice word) are the fast routes the sum certifies.
+The classical ``lr_paths`` and ``lr_lattice`` each count one pruned walk
+of ``strip_chains``, whose adjacent strips pair as brackets or read as a
+lattice word.
 
 Public functions validate their arguments once, by the rule in
 ``fusionkit.partitions``, the two fast routes through one guard
 (``_fast_route``); the private cores (``_fusion_row``, ``_fusion_rule``,
-``_fusion_tableaux``, ``_lr_paths``, ``_count_paths``) take normalized input
-that the caller has already checked.
+``_fusion_tableaux``, ``_lr_paths``, ``_lr_lattice``, ``_count_paths``) take
+normalized input that the caller has already checked.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .partitions import (
     _span,
     nonneg_compositions,
     normalize,
-    partitions_of,
     perm_sign,
     restricted_partitions_of,
 )
@@ -65,52 +65,29 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
 
 
 def lr_paths(la, mu, nu) -> int:
-    """Littlewood-Richardson coefficient as the number of fitting paths."""
-    la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if not _weight_ok(la, mu, nu) or not _contains(nu, la):
-        return 0
-    return _lr_paths(la, mu, nu)
+    """Littlewood-Richardson coefficient as the number of fitting paths:
+    strip chains la -> nu with column lengths mu' whose adjacent strips pair
+    as brackets with no unpaired right parenthesis."""
+    return _lr_paths(normalize(la), normalize(mu), normalize(nu))
 
 
 def _lr_paths(la, mu, nu) -> int:
-    """``lr_paths`` of normalized shapes with la inside nu and |la| + |mu| = |nu|."""
-    if not mu:
-        return 1 if la == nu else 0
-    mu_conj = _conjugate(mu)
-    return sum(1 for p in enumerate_paths(la, nu, mu_conj, None) if _fits(p, mu_conj))
-
-
-def _reading_order(boxes):
-    """Column-wise reading: columns left to right, bottom to top."""
-    return sorted(boxes, key=lambda b: (b[1], -b[0]))
-
-
-def _is_lattice(word, m: int) -> bool:
-    counts = [0] * (m + 1)
-    for v in word:
-        counts[v] += 1
-        if v > 1 and counts[v] > counts[v - 1]:
-            return False
-    return True
-
-
-def _fillings(la, nu, sizes):
-    """Each row-strict filling of nu/la whose i-entries form a vertical strip
-    of ``sizes[i - 1]`` boxes, as (entry by box, column reading word)."""
-    for strips in strip_chains(la, nu, sizes):
-        entry = {box: i for i, strip in enumerate(strips, start=1) for box in strip}
-        yield entry, [entry[b] for b in _reading_order(entry)]
+    """``lr_paths`` of normalized shapes."""
+    return sum(1 for _ in strip_chains(la, nu, _conjugate(mu), pair_ok=_pair_balanced))
 
 
 def lr_lattice(la, mu, nu) -> int:
     """The same coefficient as the number of row-strict fillings of nu/la
-    with content mu' whose column reading word is lattice."""
-    la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    if not _weight_ok(la, mu, nu) or not _contains(nu, la):
-        return 0
-    if not mu:
-        return 1 if la == nu else 0
-    return sum(1 for _, word in _fillings(la, nu, _conjugate(mu)) if _is_lattice(word, mu[0]))
+    with content mu' whose column reading word is lattice, counted as strip
+    chains whose adjacent strips read as a lattice word."""
+    return _lr_lattice(normalize(la), normalize(mu), normalize(nu))
+
+
+def _lr_lattice(la, mu, nu) -> int:
+    """``lr_lattice`` of normalized shapes.  A reading word is lattice when,
+    for each i, its subword of the letters i and i + 1 is; that subword is
+    the reading word of strips i and i + 1, so adjacent strips decide it."""
+    return sum(1 for _ in strip_chains(la, nu, _conjugate(mu), pair_ok=_pair_lattice))
 
 
 def _pair_balanced(prev_strip, strip) -> bool:
@@ -125,28 +102,18 @@ def _pair_lattice(prev_strip, strip) -> bool:
     return _is_lattice([boxes[b] for b in _reading_order(boxes)], 2)
 
 
-def _expand_all(la, nu, pair_ok) -> dict[tuple[int, ...], int]:
-    """Counts of fitting chains la -> nu grouped by shape mu, keeping only
-    chains whose adjacent strips all pass ``pair_ok``."""
-    la, nu = normalize(la), normalize(nu)
-    out: dict[tuple[int, ...], int] = {}
-    # a vertical strip has at most one box in each row of nu/la
-    rows = sum(1 for i, part in enumerate(nu) if i >= len(la) or la[i] < part)
-    for mu_conj in partitions_of(sum(nu) - sum(la), max_part=rows):
-        count = sum(1 for _ in strip_chains(la, nu, mu_conj, pair_ok=pair_ok))
-        if count:
-            out[_conjugate(mu_conj)] = count
-    return out
+def _reading_order(boxes):
+    """Column-wise reading: columns left to right, bottom to top."""
+    return sorted(boxes, key=lambda b: (b[1], -b[0]))
 
 
-def lr_expand_paths(la, nu) -> dict[tuple[int, ...], int]:
-    """All nonzero LR coefficients of s_la s_mu at s_nu, via bracket pairing."""
-    return _expand_all(la, nu, _pair_balanced)
-
-
-def lr_expand_lattice(la, nu) -> dict[tuple[int, ...], int]:
-    """The same table via lattice reading words."""
-    return _expand_all(la, nu, _pair_lattice)
+def _is_lattice(word, m: int) -> bool:
+    counts = [0] * (m + 1)
+    for v in word:
+        counts[v] += 1
+        if v > 1 and counts[v] > counts[v - 1]:
+            return False
+    return True
 
 
 def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
@@ -204,6 +171,14 @@ def _wrap_ok(entry, la, nu, ctx: FusionContext) -> bool:
         if la_full[0] < j + k <= nu_full[0] and entry[upper] > entry[lower]:
             return False
     return True
+
+
+def _fillings(la, nu, sizes):
+    """Each row-strict filling of nu/la whose i-entries form a vertical strip
+    of ``sizes[i - 1]`` boxes, as (entry by box, column reading word)."""
+    for strips in strip_chains(la, nu, sizes):
+        entry = {box: i for i, strip in enumerate(strips, start=1) for box in strip}
+        yield entry, [entry[b] for b in _reading_order(entry)]
 
 
 def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
@@ -322,8 +297,6 @@ def gepner_witten(la, mu, nu, k: int) -> int:
     for p in (la, mu, nu):
         if len(p) > 2:
             raise ValueError(f"{p} has more than two rows")
-    if not _weight_ok(la, mu, nu) or not _contains(nu, la):
-        return 0
     threshold = sum(a - b for a, b in (p + (0,) * (2 - len(p)) for p in (la, mu, nu)))
     return _lr_paths(la, mu, nu) if 2 * k >= threshold else 0
 

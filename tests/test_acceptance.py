@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fusionkit.coefficients import fusion_expand, fusion_oracle, lr_lattice, lr_paths
-from fusionkit.partitions import FusionContext, partitions_of, partitions_up_to, subpartitions
+from fusionkit.coefficients import fusion_expand, fusion_oracle
+from fusionkit.partitions import FusionContext, partitions_up_to, subpartitions
 from fusionkit.verify import (
     classical_involution_checks,
     classical_lr_checks,
@@ -46,16 +46,10 @@ def fusion_sweep():
 
 def test_criterion_01_lr_equivalence():
     checks = classical_lr_checks(10)
-    singles = 0
-    for nu in partitions_up_to(7):
-        for la in subpartitions(nu):
-            for mu in partitions_of(sum(nu) - sum(la)):
-                if lr_paths(la, mu, nu) != lr_lattice(la, mu, nu):
-                    checks[0].record(False, la=la, mu=mu, nu=nu)
-                singles += 1
     ok, detail = _summarize(checks)
-    _conclude("criterion 1 (LR path/lattice equivalence, |nu| <= 10)", ok,
-              detail + f", single-query crosschecks={singles}")
+    _conclude("criterion 1 (LR path/lattice equivalence, |nu| <= 10)", ok, detail)
+    # a sweep that skipped or repeated a triple would move this count
+    assert [(c.name, c.checked) for c in checks] == [("lr_paths_equals_lr_lattice", 5461)]
 
 
 def test_criterion_02_classical_involution():

@@ -2,6 +2,7 @@ from math import factorial, prod
 
 import pytest
 
+from fusionkit import coefficients
 from fusionkit.coefficients import (
     UnsupportedShape,
     count_paths,
@@ -10,8 +11,6 @@ from fusionkit.coefficients import (
     fusion_rule,
     fusion_tableaux,
     gepner_witten,
-    lr_expand_lattice,
-    lr_expand_paths,
     lr_lattice,
     lr_paths,
     omega_terms,
@@ -54,14 +53,17 @@ def test_lr_routes_agree_up_to_seven():
                 assert lr_paths(la, mu, nu) == lr_lattice(la, mu, nu), (la, mu, nu)
 
 
-def test_expanders_match_single_queries():
-    for nu in partitions_up_to(6):
-        for la in subpartitions(nu):
-            via_paths = lr_expand_paths(la, nu)
-            via_lattice = lr_expand_lattice(la, nu)
-            for mu in partitions_of(sum(nu) - sum(la)):
-                assert via_paths.get(mu, 0) == lr_paths(la, mu, nu)
-                assert via_lattice.get(mu, 0) == lr_lattice(la, mu, nu)
+def test_lr_routes_count_pruned_chains_only(monkeypatch):
+    # (8,...,1) x (10) has 10!/2 unpruned strip chains into nu; both routes
+    # prune as they walk, so they never list paths or fillings
+    def unpruned(*args):
+        raise AssertionError("an LR route walked every chain")
+
+    monkeypatch.setattr(coefficients, "enumerate_paths", unpruned)
+    monkeypatch.setattr(coefficients, "_fillings", unpruned)
+    la, nu = tuple(range(8, 0, -1)), (10, 8, 7, 6, 5, 4, 3, 2, 1)
+    assert lr_paths(la, (10,), nu) == 1
+    assert lr_lattice(la, (10,), nu) == 1
 
 
 def test_fusion_at_su3_level_two():

@@ -3,6 +3,7 @@ from operator import le
 
 import pytest
 
+from fusionkit.coefficients import _pair_balanced, _pair_lattice
 from fusionkit.partitions import (
     FusionContext,
     _contains,
@@ -173,7 +174,9 @@ def test_strip_chain_counts_tally_the_chains():
 def test_strip_chains_read_the_memo_as_a_direct_walk():
     # the strip memo is transparent: strip_chains yields exactly the chains, in
     # order, of a walk that asks vertical_strips itself at every step; first
-    # from an empty memo, then again with the memo warm (and past its bound)
+    # from an empty memo, then again with the memo warm (and past its bound).
+    # Pruning is exact: with the pair test of either LR route it yields exactly
+    # the walk's chains whose adjacent strips all pass it
     def direct_walk(base, target, sizes, ctx):
         if ctx is not None and not (is_restricted(base, ctx) and is_restricted(target, ctx)):
             return []
@@ -204,3 +207,10 @@ def test_strip_chains_read_the_memo_as_a_direct_walk():
         for case, chains in zip(cases, expected):
             assert list(strip_chains(*case)) == chains, (case, warm)
         assert _strips.cache_info().hits > hits
+    for pair_ok in (_pair_balanced, _pair_lattice):
+        pruned = 0
+        for case, chains in zip(cases, expected):
+            kept = [c for c in chains if all(map(pair_ok, c, c[1:]))]
+            assert list(strip_chains(*case, pair_ok=pair_ok)) == kept, (case, pair_ok)
+            pruned += len(chains) - len(kept)
+        assert pruned  # the pair test rejects some chains

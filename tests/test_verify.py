@@ -14,6 +14,7 @@ from fusionkit.verify import (
     _rows,
     _shapes,
     classical_involution_checks,
+    classical_lr_checks,
     duality_checks,
     fusion_involution_checks,
     gepner_witten_checks,
@@ -101,6 +102,20 @@ def test_gepner_witten_check_refutes_the_printed_threshold(monkeypatch):
     monkeypatch.setattr(verify, "gepner_witten", printed)
     (closed_form,) = gepner_witten_checks(4, 7)
     assert not closed_form.passed and closed_form.checked == 440
+
+
+def test_lr_check_compares_both_served_routes(monkeypatch):
+    (agree,) = classical_lr_checks(5)
+    assert (agree.checked, agree.passed) == (130, True)
+    lattice = verify._lr_lattice
+
+    def lattice_drops_one_mu(la, mu, nu):
+        return 0 if mu == (2, 1) else lattice(la, mu, nu)
+
+    monkeypatch.setattr(verify, "_lr_lattice", lattice_drops_one_mu)
+    (agree,) = classical_lr_checks(5)
+    assert not agree.passed and agree.checked == 130
+    assert {f["mu"] for f in agree.failures} == {"2,1"}
 
 
 def test_unobstructed_counts_equal_the_boundary_walk():
