@@ -56,30 +56,19 @@ EXIT_BROKEN_PIPE = 141
 SUITES = ("involution", "monotone", "duality", "paths-identity", "gepner-witten", "all")
 
 
-class _InputError(Exception):
-    pass
-
-
-def _partition_arg(text: str):
-    try:
-        return parse_partition(text)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
 def _cmd_lr(args) -> int:
-    la, mu, nu = (_partition_arg(t) for t in (args.la, args.mu, args.nu))
+    la, mu, nu = (parse_partition(t) for t in (args.la, args.mu, args.nu))
     fn = lr_lattice if args.method == "lattice" else lr_paths
     print(fn(la, mu, nu))
     return EXIT_OK
 
 
 def _cmd_fusion(args) -> int:
-    la, mu, nu = (_partition_arg(t) for t in (args.la, args.mu, args.nu))
+    la, mu, nu = (parse_partition(t) for t in (args.la, args.mu, args.nu))
     ctx = FusionContext(args.n, args.k)
     for name, p in (("lambda", la), ("mu", mu), ("nu", nu)):
         if not is_restricted(p, ctx):
-            raise _InputError(
+            raise ValueError(
                 f"{name} = {format_partition(p)} is not ({ctx.n},{ctx.k})-restricted"
             )
     fn = {"rule": fusion_rule, "oracle": fusion_oracle, "tableaux": fusion_tableaux}[
@@ -109,12 +98,12 @@ def _explain(la, mu, nu, ctx) -> None:
 
 def _cmd_table(args) -> int:
     if args.max_size < 0:
-        raise _InputError(f"max_size must be at least 0, got {args.max_size}")
-    mu = _partition_arg(args.mu)
+        raise ValueError(f"max_size must be at least 0, got {args.max_size}")
+    mu = parse_partition(args.mu)
     ctx = FusionContext(args.n, args.k)
     mu_text = _format_partition(mu)
     if not _restricted(mu, ctx):
-        raise _InputError(f"mu = {mu_text} is not restricted")
+        raise ValueError(f"mu = {mu_text} is not restricted")
     signed = _signed_compositions(mu, ctx.n)
     rows = []
     for la_size in range(0, args.max_size + 1):
@@ -226,9 +215,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except UnsupportedShape as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -8,12 +8,12 @@ them once and ``_fusion_row`` takes the sum for one la and every nu at
 once, counting strip chains by endpoint; a table or a sweep over many la
 reuses one list.  ``fusion_expand`` is that row for one (la, mu),
 ``fusion_oracle`` reads one nu of it, and ``omega_terms`` lists the
-individual signed terms the involutions act on.  ``fusion_rule`` (path
-counting with the level correction) and ``fusion_tableaux`` (skew
-fillings with a lattice word) are the fast routes the sum certifies.
-The classical ``lr_paths`` and ``lr_lattice`` each count one pruned walk
-of ``strip_chains``, whose adjacent strips pair as brackets or read as a
-lattice word.
+individual signed terms the involutions act on.  The classical
+``lr_paths`` and ``lr_lattice`` each count one pruned walk of
+``strip_chains``, whose adjacent strips pair as brackets or read as a
+lattice word; each fast route the sum certifies is one of those walks
+plus the level correction (``fusion_rule``: restricted, less D2;
+``fusion_tableaux``: the level wrap, less five exclusions).
 
 Public functions validate their arguments once, by the rule in
 ``fusionkit.partitions``, the two fast routes through one guard
@@ -23,6 +23,8 @@ normalized input that the caller has already checked.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .involutions import SignedTerm, in_D2
 from .partitions import (
@@ -37,16 +39,18 @@ from .partitions import (
     perm_sign,
     restricted_partitions_of,
 )
-from .paths import enumerate_paths, strip_chain_counts, strip_chains, vertical_strips
-from .words import _fits, word_of, word_type
+from .paths import (
+    _trusted_path,
+    enumerate_paths,
+    strip_chain_counts,
+    strip_chains,
+    vertical_strips,
+)
+from .words import word_of, word_type
 
 
 class UnsupportedShape(ValueError):
     """The fast fusion routes only handle shapes with at most two columns."""
-
-
-def _weight_ok(la, mu, nu) -> bool:
-    return sum(la) + sum(mu) == sum(nu)
 
 
 def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
@@ -97,9 +101,10 @@ def _pair_balanced(prev_strip, strip) -> bool:
 
 
 def _pair_lattice(prev_strip, strip) -> bool:
-    """Reading-word prefix dominance for two consecutive strips."""
-    boxes = {b: 1 for b in prev_strip} | {b: 2 for b in strip}
-    return _is_lattice([boxes[b] for b in _reading_order(boxes)], 2)
+    """Reading-word prefix dominance for two consecutive strips: no prefix
+    of their column reading word has more 2's than 1's."""
+    boxes = {b: 1 for b in prev_strip} | {b: -1 for b in strip}
+    return min(accumulate(boxes[b] for b in _reading_order(boxes)), default=0) >= 0
 
 
 def _reading_order(boxes):
@@ -107,51 +112,36 @@ def _reading_order(boxes):
     return sorted(boxes, key=lambda b: (b[1], -b[0]))
 
 
-def _is_lattice(word, m: int) -> bool:
-    counts = [0] * (m + 1)
-    for v in word:
-        counts[v] += 1
-        if v > 1 and counts[v] > counts[v - 1]:
-            return False
-    return True
-
-
 def fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
-    """Level-k coefficient by path counting, for mu with at most two columns.
-
-    Single-column mu reduces to the vertical-strip indicator; mu with n
-    rows counts every restricted-boundary path (no level correction is
-    needed there); otherwise the count is over k-fusion fitting paths.
-    """
+    """Level-k coefficient by path counting, for mu with at most two columns:
+    the fitting paths la -> nu with column lengths mu' whose block
+    boundaries are restricted, less the exceptional domain D2."""
     return _fast_route(_fusion_rule, la, mu, nu, ctx)
 
 
 def _fast_route(core, la, mu, nu, ctx: FusionContext) -> int:
     """Validate the arguments of a fast route and call its private ``core``:
-    mu has at most two columns, and an unrestricted shape or a weight
-    mismatch gives 0."""
+    mu has at most two columns, and an unrestricted shape gives 0.  A core
+    walks ``strip_chains``, which yields nothing on a weight mismatch."""
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     if mu and mu[0] > 2:
         raise UnsupportedShape(f"mu = {mu} has more than two columns")
-    if not all(_restricted(p, ctx) for p in (la, mu, nu)) or not _weight_ok(la, mu, nu):
+    if not all(_restricted(p, ctx) for p in (la, mu, nu)):
         return 0
     return core(la, mu, nu, ctx)
 
 
 def _fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
-    """``fusion_rule`` of normalized restricted shapes with |la| + |mu| = |nu|
-    and at most two columns in mu."""
-    if not mu:
-        return 1 if la == nu else 0
+    """``fusion_rule`` of normalized restricted shapes: ``_lr_paths``'s walk
+    kept restricted, less the chains in D2 when mu has two columns and
+    fewer than n rows.  Else each chain counts: one column has no pair, and
+    after a full column of n boxes the level excludes nothing."""
     mu_conj = _conjugate(mu)
-    if mu[0] == 1:
-        return sum(1 for _ in strip_chains(la, nu, mu_conj, ctx))
-    if len(mu) == ctx.n:
-        return len(enumerate_paths(la, nu, mu_conj, ctx))
+    level_corrected = len(mu_conj) == 2 and len(mu) < ctx.n
     return sum(
         1
-        for p in enumerate_paths(la, nu, mu_conj, ctx)
-        if _fits(p, mu_conj) and not in_D2(p, ctx)
+        for chain in strip_chains(la, nu, mu_conj, ctx, pair_ok=_pair_balanced)
+        if not (level_corrected and in_D2(_trusted_path(la, sum(chain, ()), mu_conj), ctx))
     )
 
 
@@ -173,41 +163,29 @@ def _wrap_ok(entry, la, nu, ctx: FusionContext) -> bool:
     return True
 
 
-def _fillings(la, nu, sizes):
-    """Each row-strict filling of nu/la whose i-entries form a vertical strip
-    of ``sizes[i - 1]`` boxes, as (entry by box, column reading word)."""
-    for strips in strip_chains(la, nu, sizes):
-        entry = {box: i for i, strip in enumerate(strips, start=1) for box in strip}
-        yield entry, [entry[b] for b in _reading_order(entry)]
-
-
 def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
-    """Level-k coefficient recounted on restricted skew fillings.
-
-    Counts row-strict fillings of nu/la with content mu' (entries 1, 2)
-    whose column reading word is lattice and which satisfy the level wrap,
-    minus the exceptional fillings picked out by five structural tests.
-    """
+    """Level-k coefficient recounted on skew fillings, for mu with at most
+    two columns: the row-strict fillings of nu/la with content mu' whose
+    column reading word is lattice and which keep the level wrap, less the
+    fillings that five structural tests exclude."""
     return _fast_route(_fusion_tableaux, la, mu, nu, ctx)
 
 
 def _fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
-    """``fusion_tableaux`` of normalized restricted shapes with
-    |la| + |mu| = |nu| and at most two columns in mu."""
-    if not mu:
-        return 1 if la == nu else 0
-    mu_conj = _conjugate(mu)
-    sizes = mu_conj + (0,) * (2 - len(mu_conj))
+    """``fusion_tableaux`` of normalized restricted shapes: the fillings of
+    ``_lr_lattice``'s walk that keep the level wrap and pass no exclusion."""
+    entries = (
+        {box: i for i, strip in enumerate(strips, start=1) for box in strip}
+        for strips in strip_chains(la, nu, _conjugate(mu), pair_ok=_pair_lattice)
+    )
     return sum(
         1
-        for entry, word in _fillings(la, nu, sizes)
-        if _is_lattice(word, 2)
-        and _wrap_ok(entry, la, nu, ctx)
-        and not _excluded_filling(entry, word, nu, ctx)
+        for entry in entries
+        if _wrap_ok(entry, la, nu, ctx) and not _excluded_filling(entry, nu, ctx)
     )
 
 
-def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:
+def _excluded_filling(entry, nu, ctx: FusionContext) -> bool:
     """The five tests singling out lattice fillings that must not count."""
     n = ctx.n
     # edge target
@@ -230,6 +208,7 @@ def _excluded_filling(entry, word, nu, ctx: FusionContext) -> bool:
     if ones_under >= len(two_rows):
         return False
     # strict dominance except possibly at the final 2
+    word = [entry[b] for b in _reading_order(entry)]
     last2 = max((i for i, v in enumerate(word) if v == 2), default=None)
     c1 = c2 = 0
     for i, v in enumerate(word):

@@ -10,8 +10,8 @@ box by box; ``strip_chains`` reads the strips of each (shape, size,
 target) from a bounded memo of that walk.  Only ``path_from_label_blocks``
 places labels at addable boxes, and only it builds a path through the
 validating ``LatticePath``; the builders that hold a normalized base and
-blocks that cover the steps (``enumerate_paths``, the involutions' re-cut)
-use ``_trusted_path``.
+blocks that cover the steps (``enumerate_paths``, the involutions' re-cut,
+``fusion_rule``'s D2 test) use ``_trusted_path``.
 """
 
 from __future__ import annotations
@@ -58,29 +58,36 @@ def vertical_strips(shape, size: int, within):
 
     Yields (new_shape, boxes), boxes in add order (top row first), in
     decreasing order of the row tuples: the first box tries the lowest row
-    first, each later box the rows below the one before.  One call level
-    per box, so the depth is ``size``, not the number of rows.
+    first, each later box the rows below the one before.  The walk keeps
+    an iterator of candidate rows per box on a stack, so it does not recurse.
     """
     current = list(shape)
+    if not size:
+        yield tuple(current), ()
+        return
     # a box below the last nonzero row needs the row above it filled first
     nrows = min(len(current) - current.count(0) + size, len(current))
     rows: list[int] = []
-
-    def place(left: int, above: int):
-        if not left:
-            yield tuple(current), tuple((r, current[r - 1]) for r in rows)
-            return
-        # leave a row for each box still to come after this one
-        for row in range(nrows - left + 1, above, -1):
+    # the rows a box may take, lowest first; each leaves a row per box to come
+    levels = [iter(range(nrows - size + 1, 0, -1))]
+    while levels:
+        for row in levels[-1]:
             col = current[row - 1] + 1
             if within[row - 1] >= col and (row == 1 or current[row - 2] >= col):
-                current[row - 1] = col
-                rows.append(row)
-                yield from place(left - 1, row)
-                rows.pop()
-                current[row - 1] = col - 1
-
-    yield from place(size, 0)
+                break
+        else:
+            levels.pop()
+            if rows:
+                current[rows.pop() - 1] -= 1
+            continue
+        current[row - 1] = col
+        rows.append(row)
+        if len(rows) < size:
+            levels.append(iter(range(nrows - size + len(rows) + 1, row, -1)))
+            continue
+        yield tuple(current), tuple((r, current[r - 1]) for r in rows)
+        rows.pop()
+        current[row - 1] = col - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,7 +180,9 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
     nothing.  With a context, the shapes at block boundaries (base and
     target included) must all be restricted.  ``pair_ok(prev, strip)``
     prunes a strip that fails against its predecessor.  The strips of each
-    step come from ``_strips``, the memo of ``vertical_strips``.
+    step come from ``_strips``, the memo of ``vertical_strips``.  Like
+    that walk, this one keeps one iterator per strip on a stack, so a chain
+    of many strips does not recurse.
     """
     if any(s < 0 for s in sizes) or sum(sizes) != sum(target) - sum(base):
         return
@@ -183,24 +192,29 @@ def strip_chains(base, target, sizes, ctx: FusionContext | None = None, pair_ok=
         _restricted(base, ctx) and _restricted(target, ctx)
     ):
         return
+    if not sizes:
+        yield ()
+        return
     chain: list[tuple[Box, ...]] = []
-
     # Every strip stays inside target and the weights match, so the last
     # shape is target itself.
-    def rec(i, shape):
-        if i == len(sizes):
-            yield tuple(chain)
-            return
-        for new_shape, boxes in _strips(shape, sizes[i], target):
+    levels = [iter(_strips(base + (0,) * (len(target) - len(base)), sizes[0], target))]
+    while levels:
+        for new_shape, boxes in levels[-1]:
             if ctx is not None and not _restricted(new_shape, ctx):
                 continue
-            if pair_ok is not None and chain and not pair_ok(chain[-1], boxes):
-                continue
+            if pair_ok is None or not chain or pair_ok(chain[-1], boxes):
+                break
+        else:
+            levels.pop()
+            if chain:
+                chain.pop()
+            continue
+        if len(chain) + 1 < len(sizes):
             chain.append(boxes)
-            yield from rec(i + 1, new_shape)
-            chain.pop()
-
-    yield from rec(0, base + (0,) * (len(target) - len(base)))
+            levels.append(iter(_strips(new_shape, sizes[len(chain)], target)))
+            continue
+        yield (*chain, boxes)
 
 
 @lru_cache(maxsize=256)

@@ -340,11 +340,24 @@ def test_verify_names_an_unknown_suite():
         run_suite("nope", n_max=2, k_max=1, size_max=2)
 
 
+TALL = ",".join(["1"] * 1000)
+
+
 @pytest.mark.parametrize("method", ["oracle", "rule", "tableaux"])
 def test_fusion_answers_a_tall_query(capsys, method):
-    # a thousand nonzero rows: no walk may recurse once per row
-    tall = ",".join(["1"] * 1000)
-    code, out, err = run_cli(
-        capsys, "fusion", tall, "1", tall + ",1", "--n", "1200", "--k", "1", "--method", method
-    )
+    # a thousand nonzero rows, or mu a column of a thousand boxes: no walk
+    # may recurse once per row or once per box
+    for la, mu, nu, n in ((TALL, "1", TALL + ",1", "1200"), ("0", TALL, TALL, "1000")):
+        code, out, err = run_cli(
+            capsys, "fusion", la, mu, nu, "--n", n, "--k", "1", "--method", method
+        )
+        assert (code, out, err) == (0, "1\n", ""), n
+
+
+@pytest.mark.parametrize("method", ["paths", "lattice"])
+@pytest.mark.parametrize("mu", ["1000", TALL], ids=["row", "column"])
+def test_lr_answers_a_thousand_box_mu(capsys, method, mu):
+    # a row of mu is a chain of a thousand strips, a column one strip of a
+    # thousand boxes: neither walk may recurse once per strip or per box
+    code, out, err = run_cli(capsys, "lr", "0", mu, mu, "--method", method)
     assert (code, out, err) == (0, "1\n", "")

@@ -54,16 +54,32 @@ def test_lr_routes_agree_up_to_seven():
 
 
 def test_lr_routes_count_pruned_chains_only(monkeypatch):
-    # (8,...,1) x (10) has 10!/2 unpruned strip chains into nu; both routes
-    # prune as they walk, so they never list paths or fillings
-    def unpruned(*args):
-        raise AssertionError("an LR route walked every chain")
+    # (8,...,1) x (10) has 10!/2 unpruned strip chains into nu; the classical
+    # routes and the fast routes built on them prune as they walk, so none
+    # lists paths or walks strip chains without a pair test
+    walk = coefficients.strip_chains
 
+    def pruned(*args, pair_ok=None):
+        assert pair_ok is not None, "a route walked every chain"
+        return walk(*args, pair_ok=pair_ok)
+
+    def unpruned(*args):
+        raise AssertionError("a route listed every path")
+
+    monkeypatch.setattr(coefficients, "strip_chains", pruned)
     monkeypatch.setattr(coefficients, "enumerate_paths", unpruned)
-    monkeypatch.setattr(coefficients, "_fillings", unpruned)
     la, nu = tuple(range(8, 0, -1)), (10, 8, 7, 6, 5, 4, 3, 2, 1)
     assert lr_paths(la, (10,), nu) == 1
     assert lr_lattice(la, (10,), nu) == 1
+    for nu in ((3, 2, 1), (2, 2, 2)):  # the su(3) level-2 table of test_fusion_at_su3_level_two
+        assert fusion_rule((2, 1), (2, 1), nu, CTX32) == 1
+        assert fusion_tableaux((2, 1), (2, 1), nu, CTX32) == 1
+    # the pruned walk counts the classical coefficient; the level correction
+    # removes this triple's one fitting path (it is in D2)
+    la, nu, ctx = (3, 1, 1, 1), (4, 1, 1, 1, 1), FusionContext(5, 3)
+    assert lr_paths(la, (2,), nu) == 1
+    assert fusion_rule(la, (2,), nu, ctx) == 0
+    assert fusion_tableaux(la, (2,), nu, ctx) == 0
 
 
 def test_fusion_at_su3_level_two():
