@@ -46,7 +46,6 @@ from .paths import (
     strip_chains,
     vertical_strips,
 )
-from .words import word_of, word_type
 
 
 class UnsupportedShape(ValueError):
@@ -95,9 +94,10 @@ def _lr_lattice(la, mu, nu) -> int:
 
 
 def _pair_balanced(prev_strip, strip) -> bool:
-    """No unpaired right parenthesis in the bracket word of two strips."""
-    first, second = ([col - row for row, col in s] for s in (prev_strip, strip))
-    return word_type(word_of(first, second))[1] == 0
+    """No unpaired right parenthesis in the bracket word of two strips: the
+    j-th smallest label of the second is at least that of the first."""
+    pairs = zip(reversed(prev_strip), reversed(strip))  # labels fall along a strip
+    return len(strip) <= len(prev_strip) and all(c - r <= d - s for (r, c), (s, d) in pairs)
 
 
 def _pair_lattice(prev_strip, strip) -> bool:

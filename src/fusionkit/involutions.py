@@ -8,9 +8,11 @@ exactly that family, and ``phi`` dispatches between the two.  The D1 and
 D2 tests first run the checks that the steps and the target decide on
 their own; a path that passes them is read once, as its pair word with
 the box of each letter, and the phi1 or phi2 move is worked out as the
-test decides.  Off both domains phi takes psi's move instead.  Every
-move, of psi or phi, keeps the pair's boxes and re-cuts them along its
-image word in one splice.
+test decides.  Off both domains phi takes psi's move instead.  psi finds
+its pair on the path's own steps, with no tableau.  Every move reads its
+pair's word and boxes in one merge, flips its letters at once (psi's e^d
+or f^d flips d unpaired letters, which keeps every pair), and re-cuts the
+boxes along the image word in one splice.
 """
 
 from __future__ import annotations
@@ -18,23 +20,16 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .partitions import FusionContext, _conjugate, _perm_sign, _restricted, is_edge, normalize
-from .paths import (
-    Box,
-    LatticePath,
-    PathTableau,
-    _trusted_path,
-    _walk,
-    boundary_shapes,
-    path_to_tableau,
-)
+from .paths import Box, LatticePath, PathTableau, _trusted_path, _walk, boundary_shapes
 from .words import (
     BracketWord,
     _fits,
+    _from_letters,
     flip_positions,
     lower_f,
-    pair_word,
     raise_e,
     render,
     word_type,
@@ -70,35 +65,45 @@ def canonical_violation(tableau: PathTableau, mu) -> int | None:
     equal depth, or column r+1 outlasting column r.  None means the
     arrangement is a column-strict tableau of shape mu.
     """
-    mu = normalize(mu)
+    columns = tableau.columns
+    labels = [lab for column in columns for lab in column]
+    return _violation(tuple(map(len, columns)), labels, normalize(mu))
+
+
+def _violation(sizes, labels, mu) -> int | None:
+    """``canonical_violation`` of the blocks of ``sizes`` whose labels, in
+    step order, are ``labels``, for a normalized ``mu``."""
     ncols = mu[0] if mu else 0
-    if len(tableau.columns) != ncols:
-        raise ValueError(
-            f"tableau has {len(tableau.columns)} columns, expected {ncols}"
-        )
-    cols = [tuple(reversed(c)) for c in tableau.columns]
-    lens = [len(c) for c in cols]
-    for depth in range(1, max(lens, default=0) + 1):
+    if len(sizes) != ncols:
+        raise ValueError(f"tableau has {len(sizes)} columns, expected {ncols}")
+    ends = list(accumulate(sizes))  # a column, read from the base, runs back from its end
+    for depth in range(1, max(sizes, default=0) + 1):
         for r in range(ncols - 1, 0, -1):
-            a, b = lens[r - 1], lens[r]
+            a, b = sizes[r - 1], sizes[r]
             if b >= depth > a:
                 return r
-            if a >= depth and b >= depth and cols[r - 1][depth - 1] > cols[r][depth - 1]:
+            if a >= depth and b >= depth and labels[ends[r - 1] - depth] > labels[ends[r] - depth]:
                 return r
     return None
 
 
 def psi(term: SignedTerm, mu) -> SignedTerm:
     """Classical sign-reversing involution; fixed points are fitting paths."""
+    return _psi(term, normalize(mu))
+
+
+def _psi(term: SignedTerm, mu) -> SignedTerm:
+    """``psi`` for a normalized ``mu``."""
     path = term.path
-    r = canonical_violation(path_to_tableau(path), mu)
+    r = _violation(path.ascents, [col - row for row, col in path.steps], mu)
     if r is None:
         if tuple(term.sigma) != tuple(range(1, len(term.sigma) + 1)):
             raise RuntimeError("column-strict arrangement with a non-identity permutation")
         return term
     w, image, _, boxes = _psi_move(path, r)
-    _trace(f"psi pair ({r},{r + 1})", w)
-    _trace("psi moved", image)
+    if _TRACE:
+        _trace(f"psi pair ({r},{r + 1})", w)
+        _trace("psi moved", image)
     new_path, _ = _splice(path, r, image, boxes)
     sigma = tuple(r + 1 if v == r else r if v == r + 1 else v for v in term.sigma)
     return SignedTerm(sigma, new_path)
@@ -106,16 +111,21 @@ def psi(term: SignedTerm, mu) -> SignedTerm:
 
 def _psi_move(path: LatticePath, r: int) -> tuple:
     """(word, image, None, boxes): the pair word of blocks r, r+1 raised or
-    lowered until the two blocks trade sizes, and the box of each letter."""
+    lowered until the two blocks trade sizes, and the box of each letter.
+
+    Flipping an unpaired letter leaves every pair intact, so e^d flips the
+    d rightmost unpaired ')' and f^d the d leftmost unpaired '(' at once.
+    """
     sizes = path.ascents
     d = sizes[r] - sizes[r - 1] - 1
     if d == 0:
         raise RuntimeError("adjacent blocks differ by exactly one box at a violation")
     w, boxes = _read(path, r)
-    image = w
-    for _ in range(abs(d)):
-        image = raise_e(image) if d > 0 else lower_f(image)
-    return w, image, None, boxes
+    side = 2 if d > 0 else 1
+    free = [i for i, p in enumerate(w.partner) if p is None and w.letters[i][1] == side]
+    if len(free) < abs(d):  # too few: the operator names the missing letter
+        (raise_e if d > 0 else lower_f)(flip_positions(w, free))
+    return w, flip_positions(w, free[-d:] if d > 0 else free[:-d]), None, boxes
 
 
 def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[LatticePath, tuple]:
@@ -130,11 +140,14 @@ def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[Latti
     start shape takes each row's length from the last box in that row.
     """
     lo = sum(path.ascents[: r - 1])
-    backwards = list(zip(reversed(image.letters), reversed(boxes)))
-    first, second = (tuple(box for (_, blk), box in backwards if blk == b) for b in (1, 2))
-    cols = dict(path.steps[:lo])  # row -> column of its last box
-    padded = path.base + (0,) * (max(cols, default=0) - len(path.base))
-    start = tuple(cols.get(row, part) for row, part in enumerate(padded, 1))
+    blocks = ([], [])
+    for (_, blk), box in zip(reversed(image.letters), reversed(boxes)):
+        blocks[blk - 1].append(box)
+    first, second = map(tuple, blocks)
+    start = list(path.base)
+    for row, col in path.steps[:lo]:  # sets row's length, or opens the row below the last
+        start[row - 1 : row] = (col,)
+    start = tuple(start)
     try:
         middle = _walk(start, first)
         end = _walk(middle, second)
@@ -148,14 +161,30 @@ def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[Latti
 def _read(path: LatticePath, r: int = 1) -> tuple[BracketWord, list[Box]]:
     """The pair word of blocks r, r+1 and the box of each letter, in word order.
 
-    Within a block the labels decrease along the steps, so each block's
-    boxes, read backwards, meet the word's letters of that block in order.
+    One merge of the two blocks' steps, each read backwards from its
+    smallest label; a label in both blocks puts the first-block letter
+    first.  A block whose labels do not strictly decrease raises
+    ``ValueError``, as in ``word_of``.
     """
-    w = pair_word(path, r)
     lo = sum(path.ascents[: r - 1])
     p = lo + path.ascents[r - 1]
-    first, second = reversed(path.steps[lo:p]), reversed(path.steps[p : p + path.ascents[r]])
-    return w, [next(first if blk == 1 else second) for _, blk in w.letters]
+    steps = path.steps
+    i, j = p - 1, p + path.ascents[r] - 1  # the next box of each block, read backwards
+    letters, boxes, last = [], [], {}
+    while i >= lo or j >= p:
+        if j < p or (i >= lo and steps[i][1] - steps[i][0] <= steps[j][1] - steps[j][0]):
+            box, blk = steps[i], 1
+            i -= 1
+        else:
+            box, blk = steps[j], 2
+            j -= 1
+        label = box[1] - box[0]
+        if label <= last.get(blk, label - 1):
+            raise ValueError(f"block {blk} of pair {r} is not strictly decreasing")
+        last[blk] = label
+        letters.append((label, blk))
+        boxes.append(box)
+    return _from_letters(letters), boxes
 
 
 def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:

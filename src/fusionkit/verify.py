@@ -29,7 +29,7 @@ from .coefficients import (
     gepner_witten,
     omega_terms,
 )
-from .involutions import in_D1, in_D2, phi, phi1, phi2, psi
+from .involutions import _psi, in_D1, in_D2, phi, phi1, phi2
 from .partitions import (
     FusionContext,
     _conjugate,
@@ -209,7 +209,7 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
             info = _info(la, mu, nu)
             terms = list(omega_terms(la, mu, nu))
             total = sum(term.sign for term in terms)
-            fixed = _involution_laws(terms, lambda t: psi(t, mu), involution, sign_flip, info)
+            fixed = _involution_laws(terms, lambda t: _psi(t, mu), involution, sign_flip, info)
             for term in fixed:
                 ok = term.sigma == tuple(range(1, len(term.sigma) + 1)) and fits(term.path, mu)
                 fixed_points.record(ok, **info)

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -27,7 +28,8 @@ from fusionkit.partitions import (
     restricted_supersets,
     subpartitions,
 )
-from fusionkit.paths import enumerate_paths
+from fusionkit.paths import enumerate_paths, strip_chains
+from fusionkit.words import word_of, word_type
 
 CTX32 = FusionContext(3, 2)
 
@@ -80,6 +82,32 @@ def test_lr_routes_count_pruned_chains_only(monkeypatch):
     assert lr_paths(la, (2,), nu) == 1
     assert fusion_rule(la, (2,), nu, ctx) == 0
     assert fusion_tableaux(la, (2,), nu, ctx) == 0
+
+
+def test_pair_test_equals_the_bracket_word():
+    # the entrywise test on ascending labels is the bracket criterion: no
+    # unpaired ')' in the word of two strips; on every adjacent strip pair of
+    # every chain with |nu| <= 6, up to four strips, empty ones included
+    pairs = passed = 0
+    for nu in partitions_up_to(6):
+        for la in subpartitions(nu):
+            rest = sum(nu) - sum(la)
+            for m in range(2, 5):
+                for sizes in product(range(rest + 1), repeat=m):
+                    if sum(sizes) != rest:
+                        continue
+                    for chain in strip_chains(la, nu, sizes):
+                        for first, second in zip(chain, chain[1:]):
+                            labels = [[col - row for row, col in s] for s in (first, second)]
+                            balanced = word_type(word_of(*labels))[1] == 0
+                            assert coefficients._pair_balanced(first, second) == balanced
+                            pairs += 1
+                            passed += balanced
+    assert (pairs, passed) == (17494, 8750)
+    # adjacent strips never share a label at the same rank; other strips may,
+    # and the first strip's copy comes first in the word, so the two pair
+    assert word_of([0], [0]).brackets == "()"
+    assert coefficients._pair_balanced(((1, 1),), ((2, 2),))
 
 
 def test_fusion_at_su3_level_two():

@@ -8,6 +8,7 @@ from fusionkit.coefficients import fusion_oracle, lr_paths, omega_terms
 from fusionkit.involutions import (
     SignedTerm,
     _d2_move,
+    _psi_move,
     _read,
     _splice,
     canonical_violation,
@@ -30,13 +31,23 @@ from fusionkit.partitions import (
     subpartitions,
 )
 from fusionkit.paths import (
+    LatticePath,
+    PathTableau,
     add_box,
     boundary_shapes,
     enumerate_paths,
     path_from_label_blocks,
     path_to_tableau,
 )
-from fusionkit.words import _from_letters, fits, flip_positions, pair_word, word_type
+from fusionkit.words import (
+    _from_letters,
+    fits,
+    flip_positions,
+    lower_f,
+    pair_word,
+    raise_e,
+    word_type,
+)
 
 CTX32 = FusionContext(3, 2)
 CTX43 = FusionContext(4, 3)
@@ -74,6 +85,13 @@ def test_canonical_violation_later_pair():
     # three single-box blocks whose only clash is between columns 2 and 3
     p = path_from_label_blocks((), [(0,), (1,), (-1,)])
     assert canonical_violation(path_to_tableau(p), (3,)) == 2
+
+
+def test_equal_entries_in_a_row_are_no_violation():
+    # rows of a column-strict tableau weakly increase: the word of (0) and (0)
+    # is "()", which pairs; two adjacent strips of a path never meet this tie
+    assert canonical_violation(PathTableau(((0,), (0,))), (2,)) is None
+    assert canonical_violation(PathTableau(((1,), (0,))), (2,)) == 1
 
 
 def test_canonical_violation_column_count_mismatch():
@@ -184,6 +202,74 @@ def test_a_bad_recut_is_an_internal_fault():
     assert w.brackets == ")()"
     with pytest.raises(RuntimeError, match="not a strip chain"):
         _splice(path, 1, flip_positions(w, [2]), boxes)
+
+
+def test_one_flip_equals_the_operators_iterated():
+    # psi flips the |d| outermost unpaired letters at once; the paper's
+    # operators flip one and re-pair, |d| times, and reach the same word, or
+    # fail the same way when too few letters are unpaired; on every adjacent
+    # block pair of every term, not only psi's canonical one
+    moves = failures = 0
+    for nu in partitions_up_to(6):
+        for la in subpartitions(nu):
+            for mu in partitions_of(sum(nu) - sum(la)):
+                for term in omega_terms(la, mu, nu):
+                    path = term.path
+                    for r in range(1, len(path.ascents)):
+                        d = path.ascents[r] - path.ascents[r - 1] - 1
+                        if d == 0:
+                            continue
+                        w, _ = _read(path, r)
+                        expected = w
+                        try:
+                            for _ in range(abs(d)):
+                                expected = raise_e(expected) if d > 0 else lower_f(expected)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError, match=str(exc)):
+                                _psi_move(path, r)
+                            failures += 1
+                            continue
+                        image = _psi_move(path, r)[1]
+                        assert image == expected and image.partner == expected.partner, path
+                        moves += 1
+    assert (moves, failures) == (4334, 4110)
+
+
+def test_read_merges_the_pair_word_with_its_boxes():
+    # every adjacent block pair of every path with |nu| <= 6
+    pairs = 0
+    for nu in partitions_up_to(6):
+        for la in subpartitions(nu):
+            for mu in partitions_of(sum(nu) - sum(la)):
+                for path in enumerate_paths(la, nu, conjugate(mu)):
+                    lo = 0
+                    for r in range(1, len(path.ascents)):
+                        w, boxes = _read(path, r)
+                        reference = pair_word(path, r)
+                        assert (w.letters, w.partner) == (reference.letters, reference.partner)
+                        assert [col - row for row, col in boxes] == [lab for lab, _ in w.letters]
+                        hi = lo + path.ascents[r - 1] + path.ascents[r]
+                        assert sorted(boxes) == sorted(path.steps[lo:hi])
+                        lo += path.ascents[r - 1]
+                        pairs += 1
+    assert pairs == 2159
+
+
+@pytest.mark.parametrize(
+    "steps, ascents",
+    [
+        (((1, 1), (2, 2)), (2, 0)),  # labels 0, 0 in the first block
+        (((1, 1), (1, 2)), (2, 0)),  # labels 0, 1 increase
+        (((1, 1), (1, 2), (2, 3)), (1, 2)),  # labels 1, 1 in the second block
+        (((2, 1), (1, 1), (1, 2), (1, 3)), (2, 2)),  # both blocks increase
+    ],
+)
+def test_read_rejects_a_block_that_does_not_strictly_decrease(steps, ascents):
+    # a block of repeated or increasing labels is no vertical strip: reading
+    # its word raises, as word_of does
+    path = LatticePath((), steps, ascents)
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        _read(path)
 
 
 def test_phi_splice_equals_a_full_rebuild():

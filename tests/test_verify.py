@@ -1,6 +1,6 @@
 import pytest
 
-from fusionkit import coefficients, verify
+from fusionkit import coefficients, involutions, verify
 from fusionkit.coefficients import _fusion_row, _signed_compositions, lr_paths, omega_terms
 from fusionkit.involutions import SignedTerm, canonical_violation
 from fusionkit.partitions import FusionContext, _restricted
@@ -49,7 +49,7 @@ def _passed(checks) -> dict:
 def test_the_image_table_cannot_hide_a_broken_involution(monkeypatch):
     # each sweep applies its involution once per term and reads the image of an
     # image from a table; a wrong image for one sigma must still break the law
-    psi, phi = verify.psi, verify.phi
+    psi, phi = verify._psi, verify.phi
     assert _passed(classical_involution_checks(5))["psi_squared_identity"]
     assert _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
 
@@ -61,7 +61,7 @@ def test_the_image_table_cannot_hide_a_broken_involution(monkeypatch):
     def phi_fixes_one_sigma(term, ctx, mu):
         return term if term.sigma == (2, 1) else phi(term, ctx, mu)
 
-    monkeypatch.setattr(verify, "psi", psi_keeps_one_sigma)
+    monkeypatch.setattr(verify, "_psi", psi_keeps_one_sigma)
     monkeypatch.setattr(verify, "phi", phi_fixes_one_sigma)
     assert not _passed(classical_involution_checks(5))["psi_squared_identity"]
     assert not _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
@@ -71,7 +71,7 @@ def test_an_image_outside_the_terms_breaks_the_square_law(monkeypatch):
     # swapping the positions r, r + 1 of sigma instead of its values r, r + 1 gives
     # the image a sigma that no term has; any transposition still flips the sign,
     # and mapping that image again by the same wrong rule would return the term
-    psi = verify.psi
+    psi = verify._psi
 
     def psi_swaps_positions(term, mu):
         image = psi(term, mu)
@@ -82,10 +82,28 @@ def test_an_image_outside_the_terms_breaks_the_square_law(monkeypatch):
         sigma[r - 1], sigma[r] = sigma[r], sigma[r - 1]
         return SignedTerm(tuple(sigma), image.path)
 
-    monkeypatch.setattr(verify, "psi", psi_swaps_positions)
+    monkeypatch.setattr(verify, "_psi", psi_swaps_positions)
     squared = {c.name: c for c in classical_involution_checks(5)}["psi_squared_identity"]
     assert not squared.passed
     assert squared.checked == 606
+
+
+def test_the_classical_sweep_builds_no_tableau(monkeypatch):
+    # the sweep holds normalized mu and finds each violation on the path's own
+    # steps: it builds no tableau and no separate pair word, and normalizes nothing
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the classical sweep repeated work that psi does once")
+
+    for name in ("path_to_tableau", "pair_word", "normalize"):
+        monkeypatch.setattr(involutions, name, forbidden, raising=False)
+    checks = classical_involution_checks(5)
+    assert all(c.passed for c in checks)
+    assert [(c.name, c.checked) for c in checks] == [
+        ("psi_squared_identity", 606),
+        ("psi_reverses_sign", 494),
+        ("psi_fixed_points_are_fitting", 112),
+        ("signed_sum_equals_fitting_count", 247),
+    ]
 
 
 def test_gepner_witten_check_refutes_the_printed_threshold(monkeypatch):
