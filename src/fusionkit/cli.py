@@ -8,8 +8,9 @@ involution step to stderr.
 
 ``main`` builds its parser on first use and keeps it for the life of the
 process, so a caller that runs many requests through ``main`` pays for it
-once; ``build_parser`` returns a fresh one.  A table validates mu and
-lists its signed compositions once, then takes one fusion row per la.
+once; ``build_parser`` returns a fresh one.  A table validates mu once,
+takes one fusion row per la (the rows share mu's plan), and builds each
+output row once as a tuple; only the JSON format names its fields.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import json
 import os
 import sys
 from functools import lru_cache
+from operator import itemgetter
 
 from .coefficients import (
     UnsupportedShape,
     _fusion_row,
-    _signed_compositions,
     fusion_oracle,
     fusion_rule,
     fusion_tableaux,
@@ -54,6 +55,7 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 # verify.run_suite's suites, named here so that queries need not import verify
 SUITES = ("involution", "monotone", "duality", "paths-identity", "gepner-witten", "all")
+TABLE_FIELDS = ("lambda", "mu", "nu", "n", "k", "N")
 
 
 def _cmd_lr(args) -> int:
@@ -104,30 +106,21 @@ def _cmd_table(args) -> int:
     mu_text = _format_partition(mu)
     if not _restricted(mu, ctx):
         raise ValueError(f"mu = {mu_text} is not restricted")
-    signed = _signed_compositions(mu, ctx.n)
     rows = []
     for la_size in range(0, args.max_size + 1):
         for la in restricted_partitions_of(la_size, ctx):
             la_text = _format_partition(la)
-            for nu, value in _fusion_row(la, signed, ctx).items():
-                rows.append(
-                    {
-                        "lambda": la_text,
-                        "mu": mu_text,
-                        "nu": _format_partition(nu),
-                        "n": ctx.n,
-                        "k": ctx.k,
-                        "N": value,
-                    }
-                )
+            for nu, value in _fusion_row(la, mu, ctx).items():
+                rows.append((la_text, mu_text, _format_partition(nu), ctx.n, ctx.k, value))
     # (lambda, nu) names each row once, so this key alone fixes the order
-    rows.sort(key=lambda r: (r["lambda"], r["nu"]))
+    rows.sort(key=itemgetter(0, 2))
     if args.format == "json":
-        print(json.dumps({"schema": "fusionkit.table/1", "rows": rows}, indent=2, sort_keys=True))
+        records = [dict(zip(TABLE_FIELDS, row)) for row in rows]
+        print(json.dumps({"schema": "fusionkit.table/1", "rows": records}, indent=2, sort_keys=True))
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["lambda", "mu", "nu", "n", "k", "N"])
-        writer.writeheader()
+        writer = csv.writer(buf)
+        writer.writerow(TABLE_FIELDS)
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
     return EXIT_OK

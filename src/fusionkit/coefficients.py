@@ -2,15 +2,16 @@
 
 All coefficients are computed exactly by exhaustive enumeration at desk
 scale.  The ground truth is the signed sum over permuted-ascent restricted
-paths, built only where the ascents are nonnegative.  Its signed
-compositions depend on mu and n alone, so ``_signed_compositions`` lists
-them once and ``_fusion_row`` takes the sum for one la and every nu at
-once, counting strip chains by endpoint; a table or a sweep over many la
-reuses one list.  ``fusion_expand`` is that row for one (la, mu),
-``fusion_oracle`` reads one nu of it, and ``omega_terms`` lists the
-individual signed terms the involutions act on.  The classical
-``lr_paths`` and ``lr_lattice`` each count one pruned walk of
-``strip_chains``, whose adjacent strips pair as brackets or read as a
+paths, built only where the ascents are nonnegative.  That sum is the dual
+Jacobi-Trudi determinant det(e_{mu'_j - j + i}) acting on s_la through the
+restricted Pieri step, so ``_fusion_row`` expands it row by row for one la
+and every nu at once: the frontiers of shapes that share a set of used
+columns merge, and the moves of each row, which depend on mu and n alone,
+come from the bounded plan ``_fusion_plan``.  ``fusion_expand`` is that row
+for one (la, mu), ``fusion_oracle`` reads one nu of it, and
+``omega_terms`` lists the individual signed terms the involutions act on.
+The classical ``lr_paths`` and ``lr_lattice`` each count one pruned walk
+of ``strip_chains``, whose adjacent strips pair as brackets or read as a
 lattice word; each fast route the sum certifies is one of those walks
 plus the level correction (``fusion_rule``: restricted, less D2;
 ``fusion_tableaux``: the level wrap, less five exclusions).
@@ -24,6 +25,7 @@ normalized input that the caller has already checked.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
 from .involutions import SignedTerm, in_D2
@@ -36,13 +38,12 @@ from .partitions import (
     _span,
     nonneg_compositions,
     normalize,
-    perm_sign,
     restricted_partitions_of,
 )
 from .paths import (
+    _strip_successors,
     _trusted_path,
     enumerate_paths,
-    strip_chain_counts,
     strip_chains,
     vertical_strips,
 )
@@ -227,42 +228,73 @@ def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
     la, mu = normalize(la), normalize(mu)
     if not _restricted(mu, ctx):
         return {}
-    return _fusion_row(la, _signed_compositions(mu, ctx.n), ctx)
+    return _fusion_row(la, mu, ctx)
 
 
-def _signed_compositions(mu, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The (sign, composition) terms of the signed sum for a normalized mu
-    at n rows: the sign of each sigma and its composition sigma . mu' with
-    entries in 0..n.  The identity comes first, so its composition is mu'."""
-    return tuple(
-        (perm_sign(sigma), comp) for sigma, comp in nonneg_compositions(_conjugate(mu), n)
-    )
+def _fusion_row(la, mu, ctx: FusionContext) -> dict[Partition, int]:
+    """``fusion_expand`` of a normalized la and a normalized restricted mu:
+    ``_fusion_plan(mu, n)`` run on one signed frontier of restricted n-part
+    shapes per set of used columns, one restricted strip step per move."""
+    if not _restricted(la, ctx):
+        return {}
+    n, k = ctx.n, ctx.k
+    states = {0: {la + (0,) * (n - len(la)): 1}}
+    for plan_row in _fusion_plan(mu, n):
+        grown: dict[int, dict[Partition, int]] = {}
+        for used, moves in plan_row:
+            targets = [(size, sign, grown.setdefault(taken, {})) for size, sign, taken in moves]
+            for shape, count in states[used].items():
+                if not count:  # the signs cancel most entries of a wide mu
+                    continue
+                # a level above shape[0] + 1 bounds no span, so such levels share one key
+                level = min(k, shape[0] + 1)
+                for size, sign, target in targets:
+                    for new_shape in _strip_successors(shape, size, n, level):
+                        target[new_shape] = target.get(new_shape, 0) + sign * count
+        states = grown
+    (frontier,) = states.values()  # after the last row every column is used
+    row = {}
+    for shape, value in frontier.items():
+        if value < 0:
+            raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
+        if value:  # parts never increase, so the zeros are the trailing ones
+            row[shape[: n - shape.count(0)]] = value
+    return row
 
 
-def _fusion_row(la, signed, ctx: FusionContext, chains=None) -> dict[Partition, int]:
-    """``fusion_expand`` of a normalized la and a restricted mu whose
-    ``_signed_compositions`` at ctx.n are ``signed``, counting each
-    composition's restricted strip chains from la by endpoint.
-
-    A dict ``chains`` receives, per nu, the unsigned totals (restricted,
-    unrestricted) of those chains; unrestricted chains keep n rows but may
-    take any span, so the two agree exactly when no boundary is obstructed.
+@lru_cache(maxsize=256)
+def _fusion_plan(mu, n: int) -> tuple:
+    """The rows of det(e_{mu'_j - j + i}) as moves between sets of used
+    columns, which depend on (mu, n) alone: per bitmask ``used`` of the
+    columns that rows 0..i-1 took, row i lists (size, sign, used | 1 << j)
+    for each unused column j whose size mu'_j - j + i lies in 0..n.  The
+    sign is -1 to the number of used columns right of j, so the signs
+    multiply to sgn(sigma).  Sizes fall along a row and grow down a
+    column, so the lowest unused column is a row's first candidate and the
+    first to outgrow n; a move after which it never fits again is left out.
     """
-    totals: dict[Partition, int] = {}
-    for sign, comp in signed:
-        counts = strip_chain_counts(la, comp, ctx)
-        for nu, count in counts.items():
-            totals[nu] = totals.get(nu, 0) + sign * count
-        if chains is not None:  # restricted chains are among the unrestricted ones
-            # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
-            wide = FusionContext(ctx.n, ctx.k + sum(la) + sum(comp))
-            for nu, count in strip_chain_counts(la, comp, wide).items():
-                held, every = chains.get(nu, (0, 0))
-                chains[nu] = (held + counts.get(nu, 0), every + count)
-    if any(value < 0 for value in totals.values()):
-        mu = _conjugate(signed[0][1])
-        raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
-    return {nu: value for nu, value in totals.items() if value}
+    heights = [c - j for j, c in enumerate(_conjugate(mu))]  # column j's size at row i: + i
+    m, rows, reached = len(heights), [], [0]
+    for i in range(m):
+        plan_row = {}
+        for used in reached:
+            moves = []
+            for j in range(_lowest_unused(used), m):
+                if heights[j] + i < 0:
+                    break
+                low = _lowest_unused(taken := used | 1 << j)
+                if not used >> j & 1 and (low == m or heights[low] + i + 1 <= n):
+                    moves.append((heights[j] + i, -1 if (used >> j).bit_count() % 2 else 1, taken))
+            if moves:
+                plan_row[used] = tuple(moves)
+        rows.append(tuple(plan_row.items()))
+        reached = list(dict.fromkeys(move[2] for moves in plan_row.values() for move in moves))
+    return tuple(rows)
+
+
+def _lowest_unused(used: int) -> int:
+    """The lowest column whose bit is clear in ``used``."""
+    return (used ^ (used + 1)).bit_length() - 1
 
 
 def gepner_witten(la, mu, nu, k: int) -> int:
@@ -322,8 +354,7 @@ def _path_identity_sides(la, nu, ctx: FusionContext, rows) -> tuple[int, int]:
     rhs = 0
     for mu in restricted_partitions_of(sum(nu) - sum(la), ctx):
         if mu not in rows:
-            signed = _signed_compositions(mu, ctx.n)
-            rows[mu] = (_fusion_row(la, signed, ctx), _count_paths((), mu, ctx))
+            rows[mu] = (_fusion_row(la, mu, ctx), _count_paths((), mu, ctx))
         row, standard = rows[mu]
         rhs += row.get(nu, 0) * standard
     return _count_paths(la, nu, ctx), rhs

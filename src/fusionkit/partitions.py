@@ -174,7 +174,11 @@ def nonneg_compositions(mu_conj, cap: int):
 
     With m = len(mu_conj) and rho = (m-1, ..., 1, 0), entry i of the
     permuted composition sigma . mu' is (rho + mu')_{sigma^-1(i)} - rho_i.
-    Backtracks on sigma^-1, so that no other permutation is built."""
+    Backtracks on sigma^-1, so that no other permutation is built.  There
+    are Fibonacci-many such sigma for a one-row mu at small cap, so only the
+    views that list every term one by one read them (``omega_terms`` and
+    the level sweep's chain totals); the signed sum merges its sigma-prefixes
+    in ``coefficients._fusion_plan`` instead."""
     m = len(mu_conj)
     v = [m - 1 - j + c for j, c in enumerate(mu_conj)]  # rho + mu'
     sigma, comp = [0] * m, [0] * m

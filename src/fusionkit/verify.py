@@ -25,15 +25,16 @@ from .coefficients import (
     _lr_lattice,
     _lr_paths,
     _path_identity_sides,
-    _signed_compositions,
     gepner_witten,
     omega_terms,
 )
 from .involutions import _psi, in_D1, in_D2, phi, phi1, phi2
 from .partitions import (
     FusionContext,
+    Partition,
     _conjugate,
     _format_partition,
+    nonneg_compositions,
     partitions_of,
     partitions_up_to,
     rank_level_dual,
@@ -41,6 +42,7 @@ from .partitions import (
     restricted_supersets,
     subpartitions,
 )
+from .paths import strip_chain_counts
 from .words import fits
 
 MAX_COUNTEREXAMPLES = 10
@@ -260,10 +262,8 @@ def _fusion_chunk(args) -> list[CheckResult]:
         big_level,
         vacuous,
     ]
-    signed = {mu: _signed_compositions(mu, n) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
-        chains = {}
-        row = _fusion_row(la, signed[mu], ctx, chains)
+        row, chains = _fusion_row(la, mu, ctx), _chain_totals(la, mu, ctx)
         for nu in nus:
             info = _info(la, mu, nu, ctx)
             oracle = row.get(nu, 0)
@@ -295,6 +295,22 @@ def _fusion_chunk(args) -> list[CheckResult]:
     return checks
 
 
+def _chain_totals(la, mu, ctx: FusionContext) -> dict[Partition, tuple[int, int]]:
+    """Per nu, the unsigned totals (restricted, unrestricted) of the strip
+    chains from la over every term's composition.  Unrestricted chains keep
+    n rows but may take any span, so the two agree exactly when no boundary
+    is obstructed."""
+    chains: dict[Partition, tuple[int, int]] = {}
+    for _, comp in nonneg_compositions(_conjugate(mu), ctx.n):
+        held = strip_chain_counts(la, comp, ctx)  # among the unrestricted chains
+        # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
+        wide = FusionContext(ctx.n, ctx.k + sum(la) + sum(comp))
+        for nu, count in strip_chain_counts(la, comp, wide).items():
+            restricted, every = chains.get(nu, (0, 0))
+            chains[nu] = (restricted + held.get(nu, 0), every + count)
+    return chains
+
+
 def fusion_involution_checks(
     n_max: int, k_max: int, size_max: int, jobs: int = 1
 ) -> list[CheckResult]:
@@ -306,10 +322,8 @@ def _monotone_chunk(args) -> list[CheckResult]:
     ctx = FusionContext(n, k)
     up = FusionContext(n, k + 1)
     monotone = CheckResult("fusion_monotone_in_level")
-    # the signed compositions depend on mu and n alone, so both levels share them
-    signed = {mu: _signed_compositions(mu, n) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
-        low_row, high_row = _fusion_row(la, signed[mu], ctx), _fusion_row(la, signed[mu], up)
+        low_row, high_row = _fusion_row(la, mu, ctx), _fusion_row(la, mu, up)
         for nu in nus:
             low, high = low_row.get(nu, 0), high_row.get(nu, 0)
             monotone.record(
@@ -333,11 +347,9 @@ def _duality_chunk(args) -> list[CheckResult]:
             dual_conjugate.record(
                 rank_level_dual(mu, ctx) == _conjugate(mu), **_info((), mu, (), ctx)
             )
-    signed = {mu: _signed_compositions(mu, n) for mu in mus}
-    dual_signed = {mu: _signed_compositions(rank_level_dual(mu, ctx), k) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
-        row = _fusion_row(la, signed[mu], ctx)
-        dual_row = _fusion_row(rank_level_dual(la, ctx), dual_signed[mu], ctx.dual())
+        row = _fusion_row(la, mu, ctx)
+        dual_row = _fusion_row(rank_level_dual(la, ctx), rank_level_dual(mu, ctx), ctx.dual())
         for nu in nus:
             lhs, rhs = row.get(nu, 0), dual_row.get(rank_level_dual(nu, ctx), 0)
             info = _info(la, mu, nu, ctx)
@@ -383,9 +395,8 @@ def _gepner_witten_chunk(args) -> list[CheckResult]:
     n, k, size_max, mus = args
     ctx = FusionContext(n, k)
     closed_form = CheckResult("gepner_witten_equals_oracle")
-    signed = {mu: _signed_compositions(mu, n) for mu in mus}
     for la, mu, nus in _rows(ctx, mus, size_max):
-        row = _fusion_row(la, signed[mu], ctx)
+        row = _fusion_row(la, mu, ctx)
         for nu in nus:
             formula, oracle = gepner_witten(la, mu, nu, k), row.get(nu, 0)
             closed_form.record(

@@ -201,7 +201,7 @@ def test_trace_lines_only_when_enabled():
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(la, signed, ctx):
+    def broken(la, mu, ctx):
         raise RuntimeError("negative fusion coefficient")
 
     monkeypatch.setattr(cli, "_fusion_row", broken)
@@ -352,6 +352,16 @@ def test_fusion_answers_a_tall_query(capsys, method):
             capsys, "fusion", la, mu, nu, "--n", n, "--k", "1", "--method", method
         )
         assert (code, out, err) == (0, "1\n", ""), n
+
+
+@pytest.mark.parametrize("row, n", [("20", "3"), ("30", "2"), ("1000", "2")])
+def test_oracle_answers_a_wide_row(capsys, row, n):
+    # a one-row mu has Fibonacci-many signed compositions at small n, and a
+    # thousand columns: the signed sum may neither list them nor recurse per column
+    code, out, err = run_cli(
+        capsys, "fusion", "0", row, row, "--n", n, "--k", row, "--method", "oracle"
+    )
+    assert (code, out, err) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("method", ["paths", "lattice"])

@@ -3,7 +3,7 @@ from math import factorial, prod
 
 import pytest
 
-from fusionkit import coefficients
+from fusionkit import cli, coefficients, verify
 from fusionkit.coefficients import (
     UnsupportedShape,
     count_paths,
@@ -29,6 +29,7 @@ from fusionkit.partitions import (
     subpartitions,
 )
 from fusionkit.paths import enumerate_paths, strip_chains
+from fusionkit.verify import monotone_checks
 from fusionkit.words import word_of, word_type
 
 CTX32 = FusionContext(3, 2)
@@ -82,6 +83,35 @@ def test_lr_routes_count_pruned_chains_only(monkeypatch):
     assert lr_paths(la, (2,), nu) == 1
     assert fusion_rule(la, (2,), nu, ctx) == 0
     assert fusion_tableaux(la, (2,), nu, ctx) == 0
+
+
+def test_rows_list_no_signed_composition(monkeypatch, capsys):
+    # a one-row mu at small n has Fibonacci-many signed compositions; a row,
+    # a table and a level sweep merge their sigma-prefixes instead of listing them
+    def listed(*args):
+        raise AssertionError("a row listed the signed compositions")
+
+    monkeypatch.setattr(coefficients, "nonneg_compositions", listed)
+    monkeypatch.setattr(verify, "nonneg_compositions", listed)
+    assert fusion_expand((), (20,), FusionContext(3, 20)) == {(20,): 1}
+    row = fusion_expand((2, 1), (40, 20), FusionContext(3, 61))
+    assert (len(row), sum(row.values())) == (7, 8)
+    assert fusion_oracle((), (30,), (30,), FusionContext(2, 30)) == 1
+    assert cli.main(["table", "--n", "2", "--k", "30", "--mu", "30", "--max-size", "3",
+                     "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda,mu,nu,n,k,N",
+        "0,30,30,2,30,1",
+        '1,30,"30,1",2,30,1',  # (31) spans 31 > k
+        '"1,1",30,"31,1",2,30,1',
+        '2,30,"30,2",2,30,1',
+        '"2,1",30,"31,2",2,30,1',
+        '3,30,"30,3",2,30,1',
+    ]
+    (monotone,) = monotone_checks(3, 2, 5)
+    assert (monotone.name, monotone.checked, monotone.passed) == (
+        "fusion_monotone_in_level", 124, True
+    )
 
 
 def test_pair_test_equals_the_bracket_word():
@@ -177,14 +207,15 @@ def test_gepner_witten_equals_oracle_on_two_rows():
 
 
 def test_fusion_expand_equals_oracle():
-    # mu up to six boxes, so up to six columns; the reference adds the signs
-    # of the individual terms per nu, apart from the count by endpoint
-    for n in (2, 3, 4):
+    # mu up to six boxes, so up to six columns; the reference is the paper's
+    # definition, the signs of the individual terms added per nu, which
+    # lists every composition's paths where the row merges sigma-prefixes
+    for n in (1, 2, 3, 4):
         for k in (1, 2, 3):
             ctx = FusionContext(n, k)
             for mu_size in range(7):
                 for mu in restricted_partitions_of(mu_size, ctx):
-                    for la_size in range(4):
+                    for la_size in range(5):
                         for la in restricted_partitions_of(la_size, ctx):
                             terms = {
                                 nu: value

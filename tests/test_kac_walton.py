@@ -79,6 +79,15 @@ def test_reference_spots():
     assert kac_walton((2,), (2,), 2, 2) == {(2, 2): 1}
 
 
+def test_wide_rows_equal_kac_walton():
+    # one-row and two-row mu far past the sweep bounds, at levels that cut
+    # the classical product (21 of 36 and 44 of 94 nu survive)
+    for la, mu, n, k in (((10, 5), (20,), 3, 25), ((9, 2), (25, 3), 4, 28)):
+        row = fusion_expand(la, mu, FusionContext(n, k))
+        assert row == kac_walton(la, mu, n, k), (la, mu)
+        assert len(row) == {3: 21, 4: 44}[n]
+
+
 @settings(max_examples=200, deadline=None)
 @given(level_inputs())
 def test_signed_sum_equals_kac_walton(inputs):

@@ -183,6 +183,7 @@ def test_module_caches_are_bounded():
         "fusionkit.paths.enumerate_paths",
         "fusionkit.paths._strips",
         "fusionkit.partitions._perm_sign",
+        "fusionkit.coefficients._fusion_plan",
     } <= caches.keys()
     for name, info in caches.items():
         assert info.maxsize is not None, name

@@ -1,7 +1,7 @@
 import pytest
 
 from fusionkit import coefficients, involutions, verify
-from fusionkit.coefficients import _fusion_row, _signed_compositions, lr_paths, omega_terms
+from fusionkit.coefficients import lr_paths, omega_terms
 from fusionkit.involutions import SignedTerm, canonical_violation
 from fusionkit.partitions import FusionContext, _restricted
 from fusionkit.paths import boundary_shapes, path_to_tableau
@@ -143,8 +143,7 @@ def test_unobstructed_counts_equal_the_boundary_walk():
         for k in (1, 2, 3):
             ctx = FusionContext(n, k)
             for la, mu, nus in _rows(ctx, _shapes(ctx, 7), 7):
-                chains = {}
-                _fusion_row(la, _signed_compositions(mu, n), ctx, chains)
+                chains = verify._chain_totals(la, mu, ctx)
                 for nu in nus:
                     walked = [
                         all(_restricted(s, ctx) for s in boundary_shapes(t.path))
