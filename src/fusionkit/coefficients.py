@@ -4,12 +4,13 @@ All coefficients are computed exactly by exhaustive enumeration at desk
 scale.  The ground truth is the signed sum over permuted-ascent restricted
 paths, built only where the ascents are nonnegative.  That sum is the dual
 Jacobi-Trudi determinant det(e_{mu'_j - j + i}) acting on s_la through the
-restricted Pieri step, so ``_fusion_row`` expands it row by row for one la
+restricted Pieri step, so ``_plan_walk`` expands it row by row for one la
 and every nu at once: the frontiers of shapes that share a set of used
 columns merge, and the moves of each row, which depend on mu and n alone,
-come from the bounded plan ``_fusion_plan``.  ``fusion_expand`` is that row
-for one (la, mu), ``fusion_oracle`` reads one nu of it, and
-``omega_terms`` lists the individual signed terms the involutions act on.
+come from the bounded plan ``_fusion_plan``, the one enumerator of sigma.
+``fusion_expand`` is the signed walk for one (la, mu), ``fusion_oracle``
+reads one nu of it, the level sweep counts chains by the unsigned walk, and
+``omega_terms`` lists the signed terms the involutions act on, depth first.
 The classical ``lr_paths`` and ``lr_lattice`` each count one pruned walk
 of ``strip_chains``, whose adjacent strips pair as brackets or read as a
 lattice word; each fast route the sum certifies is one of those walks
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 from .involutions import SignedTerm, in_D2
 from .partitions import (
@@ -36,7 +38,6 @@ from .partitions import (
     _contains,
     _restricted,
     _span,
-    nonneg_compositions,
     normalize,
     restricted_partitions_of,
 )
@@ -58,12 +59,12 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
 
     With a context, only paths whose block boundaries are restricted
     appear.  Only permutations whose composition lies in 0..len(nu) are
-    visited: any other has a negative block or one no vertical strip into
-    nu can fill.  The empty mu has one term, the identity with the empty
-    path, when la = nu.
+    visited (``_plan_sigmas``): any other has a negative block or one no
+    vertical strip into nu can fill.  The empty mu has one term, the
+    identity with the empty path, when la = nu.
     """
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
-    for sigma, comp in nonneg_compositions(_conjugate(mu), len(nu)):
+    for sigma, comp in _plan_sigmas(mu, len(nu)):
         for path in enumerate_paths(la, nu, comp, ctx):
             yield SignedTerm(sigma, path)
 
@@ -233,16 +234,33 @@ def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
 
 def _fusion_row(la, mu, ctx: FusionContext) -> dict[Partition, int]:
     """``fusion_expand`` of a normalized la and a normalized restricted mu:
-    ``_fusion_plan(mu, n)`` run on one signed frontier of restricted n-part
-    shapes per set of used columns, one restricted strip step per move."""
+    the nonzero entries of ``_plan_walk``'s signed frontier, keyed by nu."""
     if not _restricted(la, ctx):
         return {}
+    row = {}
+    for shape, value in _plan_walk(la, mu, ctx).items():
+        if value < 0:
+            raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
+        if value:  # parts never increase, so the zeros are the trailing ones
+            row[shape[: ctx.n - shape.count(0)]] = value
+    return row
+
+
+def _plan_walk(la, mu, ctx: FusionContext, signed: bool = True) -> dict[Partition, int]:
+    """``_fusion_plan(mu, n)`` run from the normalized la, for a mu of at
+    most n rows, on one frontier of restricted n-part shapes per set of used
+    columns, one restricted strip step per move.  The last frontier counts
+    each term's chains times sgn(sigma), or with ``signed=False`` every chain
+    of every term once."""
     n, k = ctx.n, ctx.k
     states = {0: {la + (0,) * (n - len(la)): 1}}
     for plan_row in _fusion_plan(mu, n):
         grown: dict[int, dict[Partition, int]] = {}
-        for used, moves in plan_row:
-            targets = [(size, sign, grown.setdefault(taken, {})) for size, sign, taken in moves]
+        for used, moves in plan_row.items():
+            targets = [
+                (size, sign if signed else 1, grown.setdefault(taken, {}))
+                for size, sign, taken in moves
+            ]
             for shape, count in states[used].items():
                 if not count:  # the signs cancel most entries of a wide mu
                     continue
@@ -253,28 +271,22 @@ def _fusion_row(la, mu, ctx: FusionContext) -> dict[Partition, int]:
                         target[new_shape] = target.get(new_shape, 0) + sign * count
         states = grown
     (frontier,) = states.values()  # after the last row every column is used
-    row = {}
-    for shape, value in frontier.items():
-        if value < 0:
-            raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
-        if value:  # parts never increase, so the zeros are the trailing ones
-            row[shape[: n - shape.count(0)]] = value
-    return row
+    return frontier
 
 
 @lru_cache(maxsize=256)
 def _fusion_plan(mu, n: int) -> tuple:
     """The rows of det(e_{mu'_j - j + i}) as moves between sets of used
-    columns, which depend on (mu, n) alone: per bitmask ``used`` of the
-    columns that rows 0..i-1 took, row i lists (size, sign, used | 1 << j)
-    for each unused column j whose size mu'_j - j + i lies in 0..n.  The
+    columns, which depend on (mu, n) alone: row i maps each bitmask ``used``
+    of the columns rows 0..i-1 took to the moves (size, sign, used | 1 << j)
+    of each unused column j whose size mu'_j - j + i lies in 0..n.  The
     sign is -1 to the number of used columns right of j, so the signs
-    multiply to sgn(sigma).  Sizes fall along a row and grow down a
-    column, so the lowest unused column is a row's first candidate and the
-    first to outgrow n; a move after which it never fits again is left out.
-    """
+    multiply to sgn(sigma).  Sizes fall along a row and grow down a column,
+    so the lowest unused column is a row's first candidate and the first to
+    outgrow n: row 0 has none unless column 0 (len(mu) boxes) fits, and a
+    move after which it never fits again is left out."""
     heights = [c - j for j, c in enumerate(_conjugate(mu))]  # column j's size at row i: + i
-    m, rows, reached = len(heights), [], [0]
+    m, rows, reached = len(heights), [], [0] if len(mu) <= n else []
     for i in range(m):
         plan_row = {}
         for used in reached:
@@ -287,9 +299,26 @@ def _fusion_plan(mu, n: int) -> tuple:
                     moves.append((heights[j] + i, -1 if (used >> j).bit_count() % 2 else 1, taken))
             if moves:
                 plan_row[used] = tuple(moves)
-        rows.append(tuple(plan_row.items()))
+        rows.append(MappingProxyType(plan_row))  # read-only: every caller shares it
         reached = list(dict.fromkeys(move[2] for moves in plan_row.values() for move in moves))
     return tuple(rows)
+
+
+def _plan_sigmas(mu, cap: int):
+    """The pairs (sigma, sigma . mu') with entries in 0..cap, depth first
+    through ``_fusion_plan(mu, cap)``, so by sigma^-1 in lexicographic order:
+    row i's move of column j sets entry i of sigma . mu' to its size and
+    entry j of sigma to i + 1.  A stack, not recursion, holds the open moves."""
+    plan = _fusion_plan(mu, cap)
+    stack = [(0, (0,) * len(plan), ())]  # (used, sigma, sigma . mu') of rows 0..i-1
+    while stack:
+        used, sigma, comp = stack.pop()
+        if len(comp) == len(plan):
+            yield sigma, comp
+            continue
+        for size, _, taken in reversed(plan[len(comp)].get(used, ())):
+            j = (taken ^ used).bit_length() - 1
+            stack.append((taken, sigma[:j] + (len(comp) + 1,) + sigma[j + 1 :], (*comp, size)))
 
 
 def _lowest_unused(used: int) -> int:
@@ -315,7 +344,7 @@ def gepner_witten(la, mu, nu, k: int) -> int:
 def count_paths(la, nu, ctx: FusionContext | None = None) -> int:
     """Single-box chains la -> nu; with a context, every shape on the chain
     (la and nu included) must be restricted.  Counted by endpoint one box
-    at a time over ``vertical_strips``, as ``strip_chain_counts`` does."""
+    at a time over ``vertical_strips``, as ``_plan_walk`` counts strips."""
     return _count_paths(normalize(la), normalize(nu), ctx)
 
 

@@ -1,4 +1,4 @@
-"""Partitions, level-restriction predicates, and the rank-level duality map.
+"""Partitions, restriction predicates, the rank-level duality, permutation signs.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers.
 Trailing zeros carry no meaning, so ``(2, 1)`` and ``(2, 1, 0)`` denote the
@@ -151,50 +151,12 @@ def rank_level_dual(p, ctx: FusionContext) -> Partition:
     return normalize(result)
 
 
-def perm_sign(sigma) -> int:
-    sigma = tuple(sigma)
-    inversions = sum(
-        1
-        for i in range(len(sigma))
-        for j in range(i + 1, len(sigma))
-        if sigma[i] > sigma[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 @lru_cache(maxsize=1024)
 def _perm_sign(sigma: tuple[int, ...]) -> int:
-    """``perm_sign`` of a tuple, memoised: a sweep signs each of its few
-    distinct permutations thousands of times."""
-    return perm_sign(sigma)
-
-
-def nonneg_compositions(mu_conj, cap: int):
-    """The pairs (sigma, sigma . mu') whose entries all lie in 0..cap.
-
-    With m = len(mu_conj) and rho = (m-1, ..., 1, 0), entry i of the
-    permuted composition sigma . mu' is (rho + mu')_{sigma^-1(i)} - rho_i.
-    Backtracks on sigma^-1, so that no other permutation is built.  There
-    are Fibonacci-many such sigma for a one-row mu at small cap, so only the
-    views that list every term one by one read them (``omega_terms`` and
-    the level sweep's chain totals); the signed sum merges its sigma-prefixes
-    in ``coefficients._fusion_plan`` instead."""
-    m = len(mu_conj)
-    v = [m - 1 - j + c for j, c in enumerate(mu_conj)]  # rho + mu'
-    sigma, comp = [0] * m, [0] * m
-
-    def rec(i):
-        if i == m:
-            yield tuple(sigma), tuple(comp)
-            return
-        for j in range(m):
-            entry = v[j] - (m - 1 - i)
-            if not sigma[j] and 0 <= entry <= cap:
-                sigma[j], comp[i] = i + 1, entry
-                yield from rec(i + 1)
-                sigma[j] = 0
-
-    yield from rec(0)
+    """The sign of a permutation tuple, memoised: a sweep signs each of its
+    few distinct permutations thousands of times."""
+    inversions = sum(1 for i, a in enumerate(sigma) for b in sigma[i + 1 :] if a > b)
+    return -1 if inversions % 2 else 1
 
 
 def partitions_of(total: int, max_part: int | None = None, max_len: int | None = None):

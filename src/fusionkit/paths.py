@@ -228,24 +228,6 @@ def _strips(shape, size: int, within) -> tuple:
     return tuple(vertical_strips(shape, size, within))
 
 
-def strip_chain_counts(base, sizes, ctx: FusionContext) -> dict[Partition, int]:
-    """Chains of vertical strips with the given sizes from the normalized
-    ``base``, counted by last shape; every block boundary is restricted."""
-    if any(s < 0 for s in sizes) or not _restricted(base, ctx):
-        return {}
-    n = ctx.n
-    frontier = {base + (0,) * (n - len(base)): 1}
-    for size in sizes:
-        grown: dict[Partition, int] = {}
-        for shape, count in frontier.items():
-            # a level above shape[0] + 1 bounds no span, so such levels share one key
-            for new_shape in _strip_successors(shape, size, n, min(ctx.k, shape[0] + 1)):
-                grown[new_shape] = grown.get(new_shape, 0) + count
-        frontier = grown
-    # parts never increase, so the zeros are the trailing ones
-    return {shape[: n - shape.count(0)]: count for shape, count in frontier.items()}
-
-
 @lru_cache(maxsize=4096)
 def _strip_successors(shape, size: int, n: int, k: int) -> tuple[Partition, ...]:
     """The shapes, kept at n parts, that one vertical strip of ``size`` boxes

@@ -6,10 +6,12 @@ Every check of every suite counts only what it ``record``s, so each count
 is of cases that could have failed.  The signed sum is the reference
 throughout: the level sweeps, the two-row closed-form check among them,
 take it one row per (la, mu), for every nu at once, and certify the fast
-routes and the closed form against it; both involution sweeps walk its individual terms
-(``omega_terms``) and check the involution laws in one loop, which
-applies psi or phi once per term.  The classical LR sweep compares the
-two routes that ``lr_paths`` and ``lr_lattice`` serve, triple by triple.
+routes and the closed form against it, and the same plan walked without
+signs counts the chains behind the unobstructed check; both involution
+sweeps walk its individual terms (``omega_terms``) and check the
+involution laws in one loop, which applies psi or phi once per term.
+The classical LR sweep compares the two routes that ``lr_paths`` and
+``lr_lattice`` serve, triple by triple.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .coefficients import (
     _lr_lattice,
     _lr_paths,
     _path_identity_sides,
+    _plan_walk,
     gepner_witten,
     omega_terms,
 )
@@ -34,7 +37,6 @@ from .partitions import (
     Partition,
     _conjugate,
     _format_partition,
-    nonneg_compositions,
     partitions_of,
     partitions_up_to,
     rank_level_dual,
@@ -42,7 +44,6 @@ from .partitions import (
     restricted_supersets,
     subpartitions,
 )
-from .paths import strip_chain_counts
 from .words import fits
 
 MAX_COUNTEREXAMPLES = 10
@@ -297,18 +298,14 @@ def _fusion_chunk(args) -> list[CheckResult]:
 
 def _chain_totals(la, mu, ctx: FusionContext) -> dict[Partition, tuple[int, int]]:
     """Per nu, the unsigned totals (restricted, unrestricted) of the strip
-    chains from la over every term's composition.  Unrestricted chains keep
-    n rows but may take any span, so the two agree exactly when no boundary
-    is obstructed."""
-    chains: dict[Partition, tuple[int, int]] = {}
-    for _, comp in nonneg_compositions(_conjugate(mu), ctx.n):
-        held = strip_chain_counts(la, comp, ctx)  # among the unrestricted chains
-        # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
-        wide = FusionContext(ctx.n, ctx.k + sum(la) + sum(comp))
-        for nu, count in strip_chain_counts(la, comp, wide).items():
-            restricted, every = chains.get(nu, (0, 0))
-            chains[nu] = (restricted + held.get(nu, 0), every + count)
-    return chains
+    chains from la over every term's composition: two unsigned walks of the
+    plan, whose n-part shapes lose their trailing zeros.  Unrestricted chains
+    keep n rows but may take any span, so the two agree exactly when no
+    boundary is obstructed."""
+    held = _plan_walk(la, mu, ctx, signed=False)  # among the unrestricted chains
+    # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
+    every = _plan_walk(la, mu, FusionContext(ctx.n, ctx.k + sum(la) + sum(mu)), signed=False)
+    return {s[: ctx.n - s.count(0)]: (held.get(s, 0), count) for s, count in every.items()}
 
 
 def fusion_involution_checks(

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
@@ -6,6 +6,9 @@ import pytest
 from fusionkit import cli, coefficients, verify
 from fusionkit.coefficients import (
     UnsupportedShape,
+    _fusion_plan,
+    _plan_sigmas,
+    _plan_walk,
     count_paths,
     fusion_expand,
     fusion_oracle,
@@ -28,7 +31,7 @@ from fusionkit.partitions import (
     restricted_supersets,
     subpartitions,
 )
-from fusionkit.paths import enumerate_paths, strip_chains
+from fusionkit.paths import _strip_successors, enumerate_paths, strip_chains
 from fusionkit.verify import monotone_checks
 from fusionkit.words import word_of, word_type
 
@@ -91,8 +94,7 @@ def test_rows_list_no_signed_composition(monkeypatch, capsys):
     def listed(*args):
         raise AssertionError("a row listed the signed compositions")
 
-    monkeypatch.setattr(coefficients, "nonneg_compositions", listed)
-    monkeypatch.setattr(verify, "nonneg_compositions", listed)
+    monkeypatch.setattr(coefficients, "_plan_sigmas", listed)
     assert fusion_expand((), (20,), FusionContext(3, 20)) == {(20,): 1}
     row = fusion_expand((2, 1), (40, 20), FusionContext(3, 61))
     assert (len(row), sum(row.values())) == (7, 8)
@@ -112,6 +114,70 @@ def test_rows_list_no_signed_composition(monkeypatch, capsys):
     assert (monotone.name, monotone.checked, monotone.passed) == (
         "fusion_monotone_in_level", 124, True
     )
+    # the level sweep's chain totals are unsigned walks of the same plan
+    chains = verify._chain_totals((), (30,), FusionContext(2, 30))
+    assert (len(chains), chains[(30,)], chains[(15, 15)]) == (16, (1, 1), (3937603038,) * 2)
+
+
+def test_plan_sigmas_values():
+    assert list(_plan_sigmas((2, 1), 3)) == [((1, 2), (2, 1)), ((2, 1), (0, 3))]
+    assert list(_plan_sigmas((2, 1), 2)) == [((1, 2), (2, 1))]
+    assert list(_plan_sigmas((2,), 2)) == [((1, 2), (1, 1)), ((2, 1), (0, 2))]
+    assert list(_plan_sigmas((), 0)) == [((), ())]
+    # column 0 of mu = (1, 1) has two boxes, so no row takes it at cap 1
+    assert _fusion_plan((1, 1), 1) == ({},)
+    assert list(_plan_sigmas((1, 1), 1)) == []
+
+
+def _sigma_dot(sigma, mu_conj):
+    # entry i is (rho + mu')_{sigma^-1(i)} - rho_i, with rho = (m-1, ..., 1, 0)
+    inverse = [sigma.index(value) for value in range(1, len(sigma) + 1)]
+    return tuple(mu_conj[j] + i - j for i, j in enumerate(inverse))
+
+
+def test_plan_sigmas_are_the_filtered_permutations():
+    # every mu' of at most six columns, each column at most three boxes, at
+    # caps below, at and above its tallest column: the walk lists exactly the
+    # permutations whose composition lies in 0..cap, by sigma^-1 in order;
+    # there are none exactly when mu has more than cap rows
+    for total in range(19):
+        for mu_conj in partitions_of(total, max_part=3, max_len=6):
+            every = sorted(
+                permutations(range(1, len(mu_conj) + 1)),
+                key=lambda sigma: [sigma.index(i) for i in range(1, len(sigma) + 1)],
+            )
+            for cap in (0, 1, 2, 3, total):
+                terms = ((sigma, _sigma_dot(sigma, mu_conj)) for sigma in every)
+                expected = [term for term in terms if all(0 <= c <= cap for c in term[1])]
+                assert list(_plan_sigmas(conjugate(mu_conj), cap)) == expected, (mu_conj, cap)
+                assert (not expected) == (cap < max(mu_conj, default=0)), (mu_conj, cap)
+
+
+def test_unsigned_walk_tallies_the_chains():
+    # the unsigned walk of the plan counts, by endpoint, the restricted strip
+    # chains of every term: the strip_chains tallies summed over every
+    # permutation; first from an empty successor memo, then again with every
+    # input in it
+    cases = []
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            ctx = FusionContext(n, k)
+            shapes = [p for size in range(6) for p in restricted_partitions_of(size, ctx)]
+            for base, mu in product(shapes[:7], shapes):
+                tally = {}
+                for sigma in permutations(range(1, (mu[0] if mu else 0) + 1)):
+                    comp = _sigma_dot(sigma, conjugate(mu))
+                    for nu in restricted_supersets(base, sum(mu), ctx):
+                        if count := sum(1 for _ in strip_chains(base, nu, comp, ctx)):
+                            shape = nu + (0,) * (n - len(nu))  # the walk keeps n parts
+                            tally[shape] = tally.get(shape, 0) + count
+                cases.append((base, mu, ctx, tally))
+    _strip_successors.cache_clear()
+    for warm in (False, True):
+        misses = _strip_successors.cache_info().misses
+        for base, mu, ctx, tally in cases:
+            assert _plan_walk(base, mu, ctx, signed=False) == tally, (base, mu, ctx, warm)
+        assert (_strip_successors.cache_info().misses == misses) == warm
 
 
 def test_pair_test_equals_the_bracket_word():

@@ -182,6 +182,7 @@ def test_module_caches_are_bounded():
     assert {
         "fusionkit.paths.enumerate_paths",
         "fusionkit.paths._strips",
+        "fusionkit.paths._strip_successors",
         "fusionkit.partitions._perm_sign",
         "fusionkit.coefficients._fusion_plan",
     } <= caches.keys()

@@ -6,17 +6,15 @@ from fusionkit.partitions import (
     FusionContext,
     _contains,
     _format_partition,
+    _perm_sign,
     conjugate,
     format_partition,
     is_border,
     is_edge,
     is_restricted,
-    nonneg_compositions,
     normalize,
     parse_partition,
-    partitions_of,
     partitions_up_to,
-    perm_sign,
     quotient,
     rank_level_dual,
 )
@@ -159,39 +157,7 @@ def test_rank_level_dual_involution_exhaustive():
                 assert rank_level_dual(image, ctx.dual()) == p
 
 
-def test_nonneg_compositions_values():
-    assert dict(nonneg_compositions((2, 1), 3)) == {(1, 2): (2, 1), (2, 1): (0, 3)}
-    assert dict(nonneg_compositions((2, 1), 2)) == {(1, 2): (2, 1)}
-    assert dict(nonneg_compositions((1, 1), 2)) == {(1, 2): (1, 1), (2, 1): (0, 2)}
-
-
-def _sigma_dot(sigma, mu_conj):
-    # entry i is (rho + mu')_{sigma^-1(i)} - rho_i, with rho = (m-1, ..., 1, 0)
-    inverse = [sigma.index(value) for value in range(1, len(sigma) + 1)]
-    return tuple(mu_conj[j] + i - j for i, j in enumerate(inverse))
-
-
-def test_nonneg_compositions_are_the_filtered_permutations():
-    from itertools import permutations
-
-    # every mu' of at most six columns, each column at most three boxes
-    for total in range(19):
-        for mu_conj in partitions_of(total, max_part=3, max_len=6):
-            m = len(mu_conj)
-            every = {
-                (sigma, _sigma_dot(sigma, mu_conj))
-                for sigma in permutations(range(1, m + 1))
-            }
-            for cap in (0, 1, 2, 3, total):
-                got = list(nonneg_compositions(mu_conj, cap))
-                assert len(got) == len(set(got))
-                assert set(got) == {
-                    (sigma, comp) for sigma, comp in every
-                    if all(0 <= c <= cap for c in comp)
-                }, (mu_conj, cap)
-
-
 def test_perm_sign():
-    assert perm_sign((1, 2, 3)) == 1
-    assert perm_sign((2, 1, 3)) == -1
-    assert perm_sign((3, 1, 2)) == 1
+    assert _perm_sign((1, 2, 3)) == 1
+    assert _perm_sign((2, 1, 3)) == -1
+    assert _perm_sign((3, 1, 2)) == 1

@@ -10,19 +10,15 @@ from fusionkit.partitions import (
     is_restricted,
     normalize,
     partitions_up_to,
-    restricted_partitions_of,
-    restricted_supersets,
     subpartitions,
 )
 from fusionkit.paths import (
     LatticePath,
-    _strip_successors,
     _strips,
     diagonal_label,
     enumerate_paths,
     path_from_label_blocks,
     path_to_tableau,
-    strip_chain_counts,
     strip_chains,
     vertical_strips,
 )
@@ -145,30 +141,6 @@ def test_boundaries_include_base_and_target():
     assert boundary_shapes(p) == ((1,), (2,), (2, 1))
     assert p.target == (2, 1)
     assert normalize(p.base) == (1,)
-
-
-def test_strip_chain_counts_tally_the_chains():
-    # the memoised successors count, by endpoint, the chains strip_chains
-    # lists: first from an empty memo, then again with every input in it
-    all_sizes = [s for m in (1, 2, 3) for s in product(range(5), repeat=m) if sum(s) <= 6]
-    cases = []
-    for n in (2, 3, 4):
-        for k in (1, 2, 3):
-            ctx = FusionContext(n, k)
-            bases = [p for size in range(4) for p in restricted_partitions_of(size, ctx)]
-            for base, sizes in product(bases, all_sizes):
-                tally = {
-                    nu: count
-                    for nu in restricted_supersets(base, sum(sizes), ctx)
-                    if (count := sum(1 for _ in strip_chains(base, nu, sizes, ctx)))
-                }
-                cases.append((base, sizes, ctx, tally))
-    _strip_successors.cache_clear()
-    for warm in (False, True):
-        misses = _strip_successors.cache_info().misses
-        for base, sizes, ctx, tally in cases:
-            assert strip_chain_counts(base, sizes, ctx) == tally, (base, sizes, ctx, warm)
-        assert (_strip_successors.cache_info().misses == misses) == warm
 
 
 def test_strip_chains_read_the_memo_as_a_direct_walk():
