@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from functools import lru_cache
@@ -111,10 +110,11 @@ def _cmd_table(args) -> int:
         for la in restricted_partitions_of(la_size, ctx):
             la_text = _format_partition(la)
             for nu, value in _fusion_row(la, mu, ctx).items():
-                rows.append((la_text, mu_text, _format_partition(nu), ctx.n, ctx.k, value))
+                rows.append((la_text, mu_text, _format_partition(nu), args.n, args.k, value))
     # (lambda, nu) names each row once, so this key alone fixes the order
     rows.sort(key=itemgetter(0, 2))
     if args.format == "json":
+        import json  # CSV tables, lr and fusion queries write none
         records = [dict(zip(TABLE_FIELDS, row)) for row in rows]
         print(json.dumps({"schema": "fusionkit.table/1", "rows": records}, indent=2, sort_keys=True))
     else:

@@ -237,24 +237,24 @@ def _fusion_row(la, mu, ctx: FusionContext) -> dict[Partition, int]:
     the nonzero entries of ``_plan_walk``'s signed frontier, keyed by nu."""
     if not _restricted(la, ctx):
         return {}
-    row = {}
+    row, n = {}, ctx.n
     for shape, value in _plan_walk(la, mu, ctx).items():
         if value < 0:
             raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
         if value:  # parts never increase, so the zeros are the trailing ones
-            row[shape[: ctx.n - shape.count(0)]] = value
+            row[shape[: n - shape.count(0)]] = value
     return row
 
 
 def _plan_walk(la, mu, ctx: FusionContext, signed: bool = True) -> dict[Partition, int]:
-    """``_fusion_plan(mu, n)`` run from the normalized la, for a mu of at
+    """``_clamped_plan(mu, n)`` run from the normalized la, for a mu of at
     most n rows, on one frontier of restricted n-part shapes per set of used
     columns, one restricted strip step per move.  The last frontier counts
     each term's chains times sgn(sigma), or with ``signed=False`` every chain
     of every term once."""
     n, k = ctx.n, ctx.k
     states = {0: {la + (0,) * (n - len(la)): 1}}
-    for plan_row in _fusion_plan(mu, n):
+    for plan_row in _clamped_plan(mu, n):
         grown: dict[int, dict[Partition, int]] = {}
         for used, moves in plan_row.items():
             targets = [
@@ -304,12 +304,20 @@ def _fusion_plan(mu, n: int) -> tuple:
     return tuple(rows)
 
 
+def _clamped_plan(mu, cap: int) -> tuple:
+    """``_fusion_plan(mu, cap)`` keyed by the cap clamped to len(mu) - 1 ..
+    len(mu) + mu_1 - 1: below len(mu) column 0 never fits, so no move is
+    made, and no size exceeds len(mu) + mu_1 - 1, so no larger cap bounds one."""
+    low, high = len(mu) - 1, len(mu) + (mu[0] if mu else 0) - 1
+    return _fusion_plan(mu, low if cap < low else high if cap > high else cap)
+
+
 def _plan_sigmas(mu, cap: int):
     """The pairs (sigma, sigma . mu') with entries in 0..cap, depth first
-    through ``_fusion_plan(mu, cap)``, so by sigma^-1 in lexicographic order:
+    through ``_clamped_plan(mu, cap)``, so by sigma^-1 in lexicographic order:
     row i's move of column j sets entry i of sigma . mu' to its size and
     entry j of sigma to i + 1.  A stack, not recursion, holds the open moves."""
-    plan = _fusion_plan(mu, cap)
+    plan = _clamped_plan(mu, cap)
     stack = [(0, (0,) * len(plan), ())]  # (used, sigma, sigma . mu') of rows 0..i-1
     while stack:
         used, sigma, comp = stack.pop()

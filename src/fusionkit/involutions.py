@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 
 from .partitions import FusionContext, _conjugate, _perm_sign, _restricted, is_edge, normalize
@@ -44,16 +44,15 @@ def _trace(label: str, w: BracketWord, mark: int | None = None) -> None:
         print(f"fusionkit: {label} {render(w, mark)}", file=sys.stderr)
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTerm:
+class SignedTerm(namedtuple("SignedTerm", "sigma path")):
     """A permutation together with a path whose ascents realize its action."""
 
-    sigma: tuple[int, ...]
-    path: LatticePath
-    sign: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sign", _perm_sign(tuple(self.sigma)))
+    @property
+    def sign(self) -> int:
+        """sgn(sigma), read from sigma alone, never from a move that made the term."""
+        return _perm_sign(tuple(self.sigma))
 
 
 def canonical_violation(tableau: PathTableau, mu) -> int | None:

@@ -11,7 +11,7 @@ is, never back through a public function that would validate it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import le, lt
 
@@ -69,22 +69,21 @@ def _conjugate(p) -> Partition:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class FusionContext:
+class FusionContext(namedtuple("FusionContext", "n k")):
     """The pair (n, k): row bound and level governing restriction predicates.
 
     n = 1 is degenerate but admitted; the rank-level dual of an (n, 1)
     context needs it.
     """
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+    def __new__(cls, n: int, k: int):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return super().__new__(cls, n, k)
 
     def dual(self) -> "FusionContext":
         return FusionContext(self.k, self.n)
@@ -95,9 +94,10 @@ def _span(p, ctx: FusionContext) -> int | None:
 
     ``p`` is normalized, or padded with zeros to at most n parts.
     """
-    if len(p) > ctx.n:
+    n = ctx.n  # a named tuple's field is read through a descriptor: read it once
+    if len(p) > n:
         return None
-    return (p[0] if p else 0) - (p[ctx.n - 1] if len(p) == ctx.n else 0)
+    return (p[0] if p else 0) - (p[n - 1] if len(p) == n else 0)
 
 
 def _restricted(p, ctx: FusionContext) -> bool:

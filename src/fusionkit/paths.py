@@ -16,7 +16,7 @@ blocks that cover the steps (``enumerate_paths``, the involutions' re-cut,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .partitions import FusionContext, Partition, _contains, _restricted, normalize
@@ -90,19 +90,16 @@ def vertical_strips(shape, size: int, within):
         current[row - 1] = col - 1
 
 
-@dataclass(frozen=True, slots=True)
-class LatticePath:
+class LatticePath(namedtuple("LatticePath", "base steps ascents")):
     """A box path from ``base`` cut into label-decreasing blocks by ``ascents``."""
 
-    base: Partition
-    steps: tuple[Box, ...]
-    ascents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.ascents) != len(self.steps):
+    def __new__(cls, base, steps, ascents):
+        if sum(ascents) != len(steps):
             raise ValueError("ascent blocks must account for every step")
         # every shape along the path is then normalized too (see add_box)
-        object.__setattr__(self, "base", normalize(self.base))
+        return super().__new__(cls, normalize(base), steps, ascents)
 
     @property
     def target(self) -> Partition:
@@ -115,11 +112,7 @@ class LatticePath:
 def _trusted_path(base, steps, ascents) -> LatticePath:
     """``LatticePath(base, steps, ascents)`` without its checks, for a
     normalized ``base`` and ascents that sum to ``len(steps)``."""
-    path = object.__new__(LatticePath)
-    object.__setattr__(path, "base", base)
-    object.__setattr__(path, "steps", steps)
-    object.__setattr__(path, "ascents", ascents)
-    return path
+    return tuple.__new__(LatticePath, (base, steps, ascents))
 
 
 def _walk(shape, boxes) -> Partition:
@@ -139,11 +132,10 @@ def boundary_shapes(path: LatticePath) -> tuple[Partition, ...]:
     return tuple(shapes)
 
 
-@dataclass(frozen=True, slots=True)
-class PathTableau:
+class PathTableau(namedtuple("PathTableau", "columns")):
     """Column i holds the labels of block i in step order (top to bottom)."""
 
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def path_to_tableau(path: LatticePath) -> PathTableau:

@@ -16,9 +16,7 @@ The classical LR sweep compares the two routes that ``lr_paths`` and
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 
 from .coefficients import (
     _fusion_row,
@@ -49,11 +47,13 @@ from .words import fits
 MAX_COUNTEREXAMPLES = 10
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
+    """The count of cases one check recorded, and its first counterexamples."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures: list[dict] = []
 
     @property
     def passed(self) -> bool:
@@ -77,12 +77,14 @@ class CheckResult:
         }
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict
-    checks: list[CheckResult]
-    wall_time_s: float
+    """The checks one suite ran, with its parameters and wall time."""
+
+    def __init__(self, suite: str, params: dict, checks: list[CheckResult], wall_time_s: float):
+        self.suite = suite
+        self.params = params
+        self.checks = checks
+        self.wall_time_s = wall_time_s
 
     @property
     def ok(self) -> bool:
@@ -100,6 +102,7 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # loaded only where a report is written
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 

@@ -9,24 +9,22 @@ one unpaired letter at a time between the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import le
 
 from .partitions import conjugate
 from .paths import LatticePath
 
 
-@dataclass(frozen=True, slots=True)
-class BracketWord:
+class BracketWord(namedtuple("BracketWord", "letters partner")):
     """Sorted two-block letter sequence with its bracket pairing.
 
     ``letters`` is a tuple of (label, block) with block 1 -> '(' and
     block 2 -> ')'.  ``partner[i]`` is the index paired with position i,
-    or None when position i is unpaired.
+    or None when position i is unpaired; the letters determine it.
     """
 
-    letters: tuple[tuple[int, int], ...]
-    partner: tuple[int | None, ...] = field(compare=False)
+    __slots__ = ()
 
     @property
     def brackets(self) -> str:

@@ -6,6 +6,7 @@ import pytest
 from fusionkit import cli, coefficients, verify
 from fusionkit.coefficients import (
     UnsupportedShape,
+    _clamped_plan,
     _fusion_plan,
     _plan_sigmas,
     _plan_walk,
@@ -127,6 +128,18 @@ def test_plan_sigmas_values():
     # column 0 of mu = (1, 1) has two boxes, so no row takes it at cap 1
     assert _fusion_plan((1, 1), 1) == ({},)
     assert list(_plan_sigmas((1, 1), 1)) == []
+
+
+def test_plan_is_keyed_by_the_clamped_cap():
+    # below len(mu) column 0 never fits and above len(mu) + mu_1 - 1 the cap bounds
+    # no size, so for |mu| <= 7 every cap from 0 to len(mu) + mu_1 + 2 has its clamp's plan
+    for mu in partitions_up_to(7):
+        for cap in range(len(mu) + (mu[0] if mu else 0) + 3):
+            assert _clamped_plan(mu, cap) == _fusion_plan(mu, cap), (mu, cap)
+    # the classical sweep at size 7 asks 308 (mu, cap) keys, which share 168 plans
+    _fusion_plan.cache_clear()
+    verify.classical_involution_checks(7)
+    assert _fusion_plan.cache_info().currsize <= 168
 
 
 def _sigma_dot(sigma, mu_conj):

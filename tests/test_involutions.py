@@ -353,7 +353,7 @@ def test_prop11_word_mechanics():
     assert back.brackets == s
 
 
-def test_in_D2_certificate_fields():
+def test_in_D2_move_reads_the_last_column_and_kept_letter():
     # phi1 of Example 4 lies in D2: the last column holds labels 1, 2, 3 bottom to
     # top, the kept letter 2 pairs with -3, and the bottom box's left neighbour is 0
     image = phi1(example4_path(), CTX43)
@@ -457,10 +457,13 @@ def test_phi_checks_mu_on_every_branch():
                 phi(term, ctx, wrong)
 
 
-def test_signed_term_sign_is_set_once_and_not_compared():
+def test_signed_term_sign_is_read_from_sigma_and_not_compared():
     path = aiv_a_path()
     term = SignedTerm((3, 1, 2), path)
     assert term.sign == 1 and SignedTerm((2, 1), path).sign == -1
+    # the parity of sigma, whether sigma is a tuple or a list
+    for sigma, parity in (((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 1, 2), 1), ((3, 2, 1), -1)):
+        assert SignedTerm(sigma, path).sign == SignedTerm(list(sigma), path).sign == parity
     twin = SignedTerm((3, 1, 2), path)
     assert term == twin and hash(term) == hash(twin)
     assert repr(term).startswith("SignedTerm(sigma=(3, 1, 2), path=") and "sign" not in repr(term)

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import pathlib
+import pickle
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ import fusionkit
 from fusionkit import (
     FusionContext,
     LatticePath,
+    SignedTerm,
     count_paths,
     enumerate_paths,
     fusion_rule,
@@ -21,6 +25,7 @@ from fusionkit import (
     quotient,
     rank_level_dual,
 )
+from fusionkit.paths import _trusted_path
 
 
 def test_all_matches_public_imports():
@@ -83,6 +88,49 @@ def test_public_entry_points_normalize_and_validate():
         quotient((1, 1, 1, 1), ctx)
     with pytest.raises(ValueError, match="more than two rows"):
         gepner_witten((1, 1, 1), (1,), (2, 1, 1), 3)
+
+
+def test_value_types_are_validating_named_tuples():
+    # the pool pickles contexts, paths and terms; each type validates in __new__,
+    # prints as its fields by name, unpacks, and equals the plain tuple of its fields
+    path = LatticePath((1, 0), ((1, 2), (2, 1)), (1, 1))
+    for value in (FusionContext(3, 2), path, SignedTerm((2, 1), path)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+    with pytest.raises(ValueError):
+        FusionContext(0, 1)
+    with pytest.raises(ValueError):
+        LatticePath((), ((1, 1), (1, 2)), (1,))  # the ascents miss a step
+    trusted = _trusted_path((1,), ((1, 2), (2, 1)), (1, 1))
+    assert trusted == path and type(trusted) is LatticePath and trusted.target == (2, 1)
+    assert repr(FusionContext(3, 2)) == "FusionContext(n=3, k=2)"
+    n, k = FusionContext(2, 3)
+    assert (n, k) == FusionContext(2, 3) == (2, 3)
+    assert tuple(path) == (path.base, path.steps, path.ascents) == ((1,), ((1, 2), (2, 1)), (1, 1))
+
+
+def test_importing_cli_and_verify_loads_no_costly_module():
+    # a one-shot query pays for each module that importing fusionkit.cli loads; the
+    # child compares with the modules its bare interpreter had, which site may preload
+    src = pathlib.Path(fusionkit.__file__).parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "bare = set(sys.modules)\n"
+        "import fusionkit.cli\n"
+        "cli = set(sys.modules) - bare\n"
+        "import fusionkit.verify\n"
+        "print(' '.join(sorted(cli)))\n"
+        "print(' '.join(sorted(set(sys.modules) - bare - cli)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    cli_loads, verify_loads = (set(line.split()) for line in out.splitlines())
+    assert "fusionkit.cli" in cli_loads and "fusionkit.verify" in verify_loads
+    costly = {"dataclasses", "inspect", "json", "concurrent.futures"}
+    assert not costly & cli_loads, sorted(costly & cli_loads)
+    assert not costly & verify_loads, sorted(costly & verify_loads)
 
 
 def test_shapes_are_validated_once():
@@ -245,22 +293,33 @@ def test_no_unused_imports_or_private_names():
                     assert name in exported | referenced, (
                         f"fusionkit.{module}.{name} is neither exported nor read in src"
                     )
-    # a method is read as an attribute, in src or in the tests; a dataclass field in src
+    # a method is read as an attribute, in src or in the tests; a field in src, whether
+    # annotated in the class body or named in the field string of a namedtuple(...) base
     def attributes(trees):
         return {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
     tests = [ast.parse(path.read_text()) for path in pathlib.Path(__file__).parent.glob("*.py")]
     read, read_in_src = attributes([*trees.values(), *tests]), attributes(trees.values())
-    unread = []
+    unread, fields = [], set()
     for module in core:
         for cls in trees[module].body:
-            for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for base in cls.bases:
+                if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+                    fields |= {(module, cls.name, f) for f in base.args[1].value.split()}
+            for node in cls.body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
                     if node.name not in read:
                         unread.append(f"{module}.{cls.name}.{node.name}")
-                elif isinstance(node, ast.AnnAssign) and node.target.id not in read_in_src:
-                    unread.append(f"{module}.{cls.name}.{node.target.id}")
+                elif isinstance(node, ast.AnnAssign):
+                    fields.add((module, cls.name, node.target.id))
+    unread += [f"{m}.{c}.{f}" for m, c, f in sorted(fields) if f not in read_in_src]
     assert not unread, f"nothing reads {unread}"
+    # the field check sees every value type, so it cannot pass by finding no fields
+    assert {c for _, c, _ in fields} >= {
+        "FusionContext", "LatticePath", "PathTableau", "BracketWord", "SignedTerm"
+    }
     # entry points for callers that src itself has no use for; the sweep applies
     # the classical involution through its private core, which builds no tableau
     kept = {
