@@ -44,7 +44,6 @@ from .partitions import (
 from .paths import (
     _strip_successors,
     _trusted_path,
-    enumerate_paths,
     strip_chains,
     vertical_strips,
 )
@@ -60,13 +59,14 @@ def omega_terms(la, mu, nu, ctx: FusionContext | None = None):
     With a context, only paths whose block boundaries are restricted
     appear.  Only permutations whose composition lies in 0..len(nu) are
     visited (``_plan_sigmas``): any other has a negative block or one no
-    vertical strip into nu can fill.  The empty mu has one term, the
-    identity with the empty path, when la = nu.
+    vertical strip into nu can fill.  Paths come straight off
+    ``strip_chains``; the empty mu has one term, the identity with the
+    empty path, when la = nu.
     """
     la, mu, nu = normalize(la), normalize(mu), normalize(nu)
     for sigma, comp in _plan_sigmas(mu, len(nu)):
-        for path in enumerate_paths(la, nu, comp, ctx):
-            yield SignedTerm(sigma, path)
+        for chain in strip_chains(la, nu, comp, ctx):
+            yield SignedTerm(sigma, _trusted_path(la, sum(chain, ()), comp))
 
 
 def lr_paths(la, mu, nu) -> int:

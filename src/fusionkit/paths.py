@@ -10,8 +10,8 @@ box by box; ``strip_chains`` reads the strips of each (shape, size,
 target) from a bounded memo of that walk.  Only ``path_from_label_blocks``
 places labels at addable boxes, and only it builds a path through the
 validating ``LatticePath``; the builders that hold a normalized base and
-blocks that cover the steps (``enumerate_paths``, the involutions' re-cut,
-``fusion_rule``'s D2 test) use ``_trusted_path``.
+blocks that cover the steps (``enumerate_paths``, ``omega_terms``, the
+involutions' re-cut, ``fusion_rule``'s D2 test) use ``_trusted_path``.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def enumerate_paths(
     Blocks are label-decreasing (vertical strips).  Any negative block size
     means the empty set.  With a context, the partitions at block boundaries
     (including base and target) must all be restricted.  The 1,024 most
-    recently used argument tuples are cached; callers in the package pass
-    all four arguments positionally, so that one path set has one key.
+    recently used argument tuples are cached; ``cli._explain``, the one
+    caller in the package, passes all four positionally: one key a set.
     """
     base, target, ascents = normalize(base), normalize(target), tuple(ascents)
     return tuple(

@@ -8,6 +8,8 @@ from fusionkit.coefficients import fusion_oracle, lr_paths, omega_terms
 from fusionkit.involutions import (
     SignedTerm,
     _d2_move,
+    _pair_move,
+    _psi,
     _psi_move,
     _read,
     _splice,
@@ -39,6 +41,7 @@ from fusionkit.paths import (
     path_from_label_blocks,
     path_to_tableau,
 )
+from fusionkit.verify import classical_involution_checks
 from fusionkit.words import (
     _from_letters,
     fits,
@@ -190,8 +193,9 @@ def test_psi_rejects_balanced_gap():
     # adjacent block sizes never differ by exactly one at a violation in a
     # genuine signed term; feeding such a pair is an internal-contract error
     bad = path_from_label_blocks((), [(0,), (1, -1)])
-    with pytest.raises(RuntimeError):
-        psi(SignedTerm((1, 2), bad), (2, 1))
+    for _ in range(2):  # the pair memo keeps no exception, so it raises again
+        with pytest.raises(RuntimeError):
+            psi(SignedTerm((1, 2), bad), (2, 1))
 
 
 def test_a_bad_recut_is_an_internal_fault():
@@ -202,6 +206,47 @@ def test_a_bad_recut_is_an_internal_fault():
     assert w.brackets == ")()"
     with pytest.raises(RuntimeError, match="not a strip chain"):
         _splice(path, 1, flip_positions(w, [2]), boxes)
+
+
+def test_psi_memo_equals_the_uncached_move():
+    # psi looks each block pair's move up by (start shape, pair steps, first
+    # block size); the reference reads, flips and re-cuts the whole path
+    moved = 0
+    for nu in partitions_up_to(6):
+        for la in subpartitions(nu):
+            for mu in partitions_of(sum(nu) - sum(la)):
+                for term in omega_terms(la, mu, nu):
+                    r = canonical_violation(path_to_tableau(term.path), mu)
+                    if r is None:
+                        continue
+                    _, image, _, boxes = _psi_move(term.path, r)
+                    expected, _ = _splice(term.path, r, image, boxes)
+                    swap = {r: r + 1, r + 1: r}
+                    sigma = tuple(swap.get(v, v) for v in term.sigma)
+                    assert _psi(term, mu) == SignedTerm(sigma, expected), term
+                    moved += 1
+    assert moved == 2442
+
+
+def test_psi_memo_is_keyed_by_the_block_pair_alone():
+    # at total size 7 the sweep moves 11,726 terms through 446 distinct
+    # (start shape, pair steps, first block size) keys; a key that held the
+    # whole path would miss far more often
+    _pair_move.cache_clear()
+    classical_involution_checks(7)
+    info = _pair_move.cache_info()
+    assert (info.misses, info.hits + info.misses) == (446, 11726)
+
+
+def test_psi_traces_every_move_memo_hit_or_miss(monkeypatch, capsys):
+    monkeypatch.setattr(involutions, "_TRACE", True)
+    term = next(t for t in omega_terms((), (2,), (1, 1)) if _psi(t, (2,)) != t)
+    capsys.readouterr()
+    _psi(term, (2,))
+    _psi(term, (2,))  # a memo hit
+    err = capsys.readouterr().err
+    assert err.count("psi pair (1,2)") == 2
+    assert err.count("psi moved") == 2
 
 
 def test_one_flip_equals_the_operators_iterated():

@@ -233,6 +233,7 @@ def test_module_caches_are_bounded():
         "fusionkit.paths._strip_successors",
         "fusionkit.partitions._perm_sign",
         "fusionkit.coefficients._fusion_plan",
+        "fusionkit.involutions._pair_move",
     } <= caches.keys()
     for name, info in caches.items():
         assert info.maxsize is not None, name
