@@ -9,8 +9,8 @@ involution step to stderr.
 ``main`` builds its parser on first use and keeps it for the life of the
 process, so a caller that runs many requests through ``main`` pays for it
 once; ``build_parser`` returns a fresh one.  A table validates mu once,
-takes one fusion row per la (the rows share mu's plan), and builds each
-output row once as a tuple; only the JSON format names its fields.
+takes one fusion row per la, each from the plan of the narrower of la and
+mu, and builds each output row once as a tuple; only JSON names its fields.
 """
 
 from __future__ import annotations

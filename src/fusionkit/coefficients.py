@@ -4,13 +4,15 @@ All coefficients are computed exactly by exhaustive enumeration at desk
 scale.  The ground truth is the signed sum over permuted-ascent restricted
 paths, built only where the ascents are nonnegative.  That sum is the dual
 Jacobi-Trudi determinant det(e_{mu'_j - j + i}) acting on s_la through the
-restricted Pieri step, so ``_plan_walk`` expands it row by row for one la
-and every nu at once: the frontiers of shapes that share a set of used
+restricted Pieri step, so ``_plan_walk`` expands it row by row from one
+shape for every nu at once: the frontiers of shapes that share a set of used
 columns merge, and the moves of each row, which depend on mu and n alone,
 come from the bounded plan ``_fusion_plan``, the one enumerator of sigma.
-``fusion_expand`` is the signed walk for one (la, mu), ``fusion_oracle``
-reads one nu of it, the level sweep counts chains by the unsigned walk, and
-``omega_terms`` lists the signed terms the involutions act on, depth first.
+As s_la s_mu = s_mu s_la, ``fusion_expand`` walks the plan of the factor
+with fewer columns from the other, ``fusion_oracle`` reads one nu of it, and
+``fusion_kac_walton`` gives it again without a plan.  The level sweep's
+unsigned walk and ``omega_terms`` (the signed terms the involutions act on,
+depth first) keep mu's plan: mu's own chains and terms do not commute.
 The classical ``lr_paths`` and ``lr_lattice`` each count one pruned walk
 of ``strip_chains``, whose adjacent strips pair as brackets or read as a
 lattice word; each fast route the sum certifies is one of those walks
@@ -27,7 +29,7 @@ normalized input that the caller has already checked.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from types import MappingProxyType
 
 from .involutions import SignedTerm, in_D2
@@ -225,7 +227,8 @@ def _excluded_filling(entry, nu, ctx: FusionContext) -> bool:
 
 def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
     """All nonzero level-k coefficients of s_la s_mu, keyed by nu: the
-    signed sum over permuted-ascent restricted paths for every nu at once."""
+    signed sum over permuted-ascent restricted paths for every nu at once,
+    taken over the ascents of whichever factor has fewer columns."""
     la, mu = normalize(la), normalize(mu)
     if not _restricted(mu, ctx):
         return {}
@@ -234,11 +237,14 @@ def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:
 
 def _fusion_row(la, mu, ctx: FusionContext) -> dict[Partition, int]:
     """``fusion_expand`` of a normalized la and a normalized restricted mu:
-    the nonzero entries of ``_plan_walk``'s signed frontier, keyed by nu."""
+    the nonzero entries of ``_plan_walk``'s signed frontier, keyed by nu.
+    The walk runs the plan of la from mu when la has fewer columns: its
+    determinant is smaller, and most of a wide mu's signed terms cancel."""
     if not _restricted(la, ctx):
         return {}
     row, n = {}, ctx.n
-    for shape, value in _plan_walk(la, mu, ctx).items():
+    base, factor = (mu, la) if la[:1] < mu[:1] else (la, mu)  # s_la s_mu = s_mu s_la
+    for shape, value in _plan_walk(base, factor, ctx).items():
         if value < 0:
             raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
         if value:  # parts never increase, so the zeros are the trailing ones
@@ -251,7 +257,8 @@ def _plan_walk(la, mu, ctx: FusionContext, signed: bool = True) -> dict[Partitio
     most n rows, on one frontier of restricted n-part shapes per set of used
     columns, one restricted strip step per move.  The last frontier counts
     each term's chains times sgn(sigma), or with ``signed=False`` every chain
-    of every term once."""
+    of every term once.  Only the signed frontier is symmetric in la and mu,
+    so ``_fusion_row`` alone may swap them."""
     n, k = ctx.n, ctx.k
     states = {0: {la + (0,) * (n - len(la)): 1}}
     for plan_row in _clamped_plan(mu, n):
@@ -332,6 +339,49 @@ def _plan_sigmas(mu, cap: int):
 def _lowest_unused(used: int) -> int:
     """The lowest column whose bit is clear in ``used``."""
     return (used ^ (used + 1)).bit_length() - 1
+
+
+def fusion_kac_walton(la, mu, ctx: FusionContext) -> dict[Partition, int]:
+    """``fusion_expand`` by the Kac-Walton formula, which walks no plan, path
+    or strip: each weight w of V_mu, one per semistandard tableau of shape mu
+    with entries 1..n, moves la + rho + w into the fundamental alcove of the
+    affine Weyl group at shifted level n + k, and adds the sign of that move
+    at the nu it lands on, unless a wall fixes it."""
+    la, mu = normalize(la), normalize(mu)
+    if not (_restricted(la, ctx) and _restricted(mu, ctx)):
+        return {}
+    n, level = ctx.n, ctx.n + ctx.k
+    base = [part + n - i for i, part in enumerate(la + (0,) * (n - len(la)), start=1)]
+    row: dict[Partition, int] = {}
+    for entries in _tableaux(mu, n):
+        x, sign = _sort_signed(b + entries.count(i) for i, b in enumerate(base, start=1))
+        while sign and x[0] - x[-1] > level:  # reflect in the wall x_1 - x_n = n + k
+            x, flip = _sort_signed([x[-1] + level, *x[1:-1], x[0] - level])
+            sign *= -flip
+        if sign and x[0] - x[-1] < level:
+            nu = tuple(v - n + i for i, v in enumerate(x, start=1))
+            nu = nu[: n - nu.count(0)]
+            row[nu] = row.get(nu, 0) + sign
+    return {nu: value for nu, value in row.items() if value}
+
+
+def _tableaux(mu, n: int, above=()):
+    """The rows of each semistandard tableau of shape mu with entries 1..n,
+    concatenated; columns strictly increase down from ``above``."""
+    if not mu:
+        yield ()
+        return
+    for row in combinations_with_replacement(range(1, n + 1), mu[0]):
+        if all(a < b for a, b in zip(above, row)):
+            for rest in _tableaux(mu[1:], n, row):
+                yield row + rest
+
+
+def _sort_signed(x):
+    """x in decreasing order, with the sign of the sort (0 on a repeated entry)."""
+    x = list(x)
+    inversions = sum(a < b for i, a in enumerate(x) for b in x[i + 1 :])
+    return sorted(x, reverse=True), (-1) ** inversions if len(set(x)) == len(x) else 0
 
 
 def gepner_witten(la, mu, nu, k: int) -> int:

@@ -11,7 +11,8 @@ signs counts the chains behind the unobstructed check; both involution
 sweeps walk its individual terms (``omega_terms``) and check the
 involution laws in one loop, which applies psi or phi once per term.
 The classical LR sweep compares the two routes that ``lr_paths`` and
-``lr_lattice`` serve, triple by triple.
+``lr_lattice`` serve, triple by triple.  The ``all`` suite ends with the
+second oracle: each signed-sum row against ``fusion_kac_walton``'s.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .coefficients import (
     _lr_paths,
     _path_identity_sides,
     _plan_walk,
+    fusion_kac_walton,
     gepner_witten,
     omega_terms,
 )
@@ -413,6 +415,29 @@ def gepner_witten_checks(k_max: int, size_max: int) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
+# the second oracle
+
+def _oracle_chunk(args) -> list[CheckResult]:
+    n, k, size_max, mus = args
+    ctx = FusionContext(n, k)
+    second = CheckResult("fusion_expand_equals_kac_walton")
+    for la, mu, _ in _rows(ctx, mus, size_max):
+        row, reference = _fusion_row(la, mu, ctx), fusion_kac_walton(la, mu, ctx)
+        differ = sorted(
+            nu for nu in row.keys() | reference.keys() if row.get(nu) != reference.get(nu)
+        )
+        info = {"lambda": _format_partition(la), "mu": _format_partition(mu), "n": n, "k": k}
+        second.record(not differ, **info, differ_at=[_format_partition(nu) for nu in differ])
+    return [second]
+
+
+def oracle_checks(n_max: int, k_max: int, size_max: int, jobs: int = 1) -> list[CheckResult]:
+    """Each signed-sum row (la, mu) with |la| + |mu| <= size_max equals the
+    Kac-Walton row, which builds no path, strip or plan."""
+    return _run_chunks(_oracle_chunk, _mu_units(n_max, k_max, size_max), jobs)
+
+
+# ---------------------------------------------------------------------------
 # suite runner
 
 def _run_chunks(fn, work, jobs: int) -> list[CheckResult]:
@@ -455,6 +480,8 @@ def run_suite(
         )
     if suite in ("gepner-witten", "all"):
         checks += gepner_witten_checks(k_max=max(k_max, 4), size_max=min(size_max + 2, 10))
+    if suite == "all":
+        checks += oracle_checks(n_max, k_max, min(size_max, 8), jobs)
     if not checks:  # on a nonempty grid every suite reports its checks
         raise ValueError(f"unknown suite {suite!r}")
     return Report(

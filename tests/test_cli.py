@@ -273,6 +273,7 @@ SMOKE_COUNTS = [
     ("dual_of_low_shape_is_conjugate", 7),
     ("restricted_path_identity", 118),
     ("gepner_witten_equals_oracle", 440),
+    ("fusion_expand_equals_kac_walton", 90),
 ]
 
 

@@ -116,6 +116,27 @@ def test_rows_list_no_signed_composition(monkeypatch, capsys):
     assert (len(chains), chains[(30,)], chains[(15, 15)]) == (16, (1, 1), (3937603038,) * 2)
 
 
+def test_row_walks_the_plan_of_the_narrower_factor(monkeypatch):
+    # s_la s_mu = s_mu s_la: a row expands the determinant of the factor with
+    # fewer columns, from the other factor; a tie keeps the caller's order
+    walks = []
+
+    def spy(base, factor, ctx, signed=True):
+        walks.append((base, factor))
+        return _plan_walk(base, factor, ctx, signed)
+
+    monkeypatch.setattr(coefficients, "_plan_walk", spy)
+    ctx = FusionContext(3, 200)
+    row = fusion_expand((2, 1), (200,), ctx)
+    assert walks == [((200,), (2, 1))]
+    # of Pieri's four shapes (202, 1), (201, 2), (201, 1, 1) and (200, 2, 1), level 200 keeps one
+    assert row == {(200, 2, 1): 1}
+    walks.clear()
+    assert fusion_expand((200,), (2, 1), ctx) == row
+    assert fusion_expand((2, 1), (2,), ctx) == fusion_expand((2,), (2, 1), ctx)
+    assert walks == [((200,), (2, 1)), ((2, 1), (2,)), ((2,), (2, 1))]
+
+
 def test_plan_sigmas_values():
     assert list(_plan_sigmas((2, 1), 3)) == [((1, 2), (2, 1)), ((2, 1), (0, 3))]
     assert list(_plan_sigmas((2, 1), 2)) == [((1, 2), (2, 1))]

@@ -1,58 +1,20 @@
 """The level-k rows against an independent reference, past the sweep bounds.
 
-``kac_walton`` is the Kac-Walton formula in its Racah-Speiser form: it
+``fusion_kac_walton`` is the Kac-Walton formula in its Racah-Speiser form: it
 straightens lambda + rho + w for each weight w of V_mu by the affine Weyl
-group at shifted level n + k.  It builds no path and no strip, and uses
-nothing of the package but the shapes it is handed.
+group at shifted level n + k.  It builds no path, strip or plan, and uses
+nothing of the package but the validation of the shapes it is handed.
 """
 
-from itertools import combinations_with_replacement
+import ast
+import inspect
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.coefficients import fusion_expand, fusion_rule, fusion_tableaux
+from fusionkit import coefficients
+from fusionkit.coefficients import fusion_expand, fusion_kac_walton, fusion_rule, fusion_tableaux
 from fusionkit.partitions import FusionContext, restricted_partitions_of, restricted_supersets
-
-
-def _tableaux(mu, n, above=()):
-    """The rows of each semistandard tableau of shape mu with entries 1..n,
-    concatenated; columns strictly increase down from ``above``."""
-    if not mu:
-        yield ()
-        return
-    for row in combinations_with_replacement(range(1, n + 1), mu[0]):
-        if all(a < b for a, b in zip(above, row)):
-            for rest in _tableaux(mu[1:], n, row):
-                yield row + rest
-
-
-def _sort_signed(x):
-    """x in decreasing order, with the sign of the sort (0 on a repeated entry)."""
-    x, sign = list(x), 1
-    for i in range(1, len(x)):  # insertion sort, one sign flip per swap
-        j = i
-        while j and x[j - 1] < x[j]:
-            x[j - 1], x[j] = x[j], x[j - 1]
-            sign, j = -sign, j - 1
-    return x, sign if len(set(x)) == len(x) else 0
-
-
-def kac_walton(la, mu, n: int, k: int) -> dict[tuple[int, ...], int]:
-    """The nonzero level-k coefficients of s_la s_mu at n rows, keyed by nu."""
-    rho = range(n - 1, -1, -1)
-    base = [part + r for part, r in zip(tuple(la) + (0,) * n, rho)]
-    row: dict[tuple[int, ...], int] = {}
-    for entries in _tableaux(tuple(mu), n):
-        x, sign = _sort_signed(b + entries.count(j) for j, b in enumerate(base, start=1))
-        while sign and x[0] - x[-1] > n + k:  # reflect in the wall x1 - xn = n + k
-            x, flip = _sort_signed([x[-1] + n + k, *x[1:-1], x[0] - n - k])
-            sign *= -flip
-        if sign and x[0] - x[-1] < n + k:
-            nu = tuple(v - r for v, r in zip(x, rho))
-            nu = nu[: n - nu.count(0)]
-            row[nu] = row.get(nu, 0) + sign
-    return {nu: value for nu, value in row.items() if value}
 
 
 @st.composite
@@ -71,12 +33,12 @@ def level_inputs(draw, max_cols=None):
 
 def test_reference_spots():
     # s_1 s_1 = s_2 + s_11; at level 1 for sl(2) only s_11 survives
-    assert kac_walton((1,), (1,), 3, 5) == {(2,): 1, (1, 1): 1}
-    assert kac_walton((1,), (1,), 2, 1) == {(1, 1): 1}
+    assert fusion_kac_walton((1,), (1,), FusionContext(3, 5)) == {(2,): 1, (1, 1): 1}
+    assert fusion_kac_walton((1,), (1,), FusionContext(2, 1)) == {(1, 1): 1}
     # sl(2) spins 1 x 1 = 0 + 1 + 2, cut to spins j <= k - 2 at level k
-    assert kac_walton((2,), (2,), 2, 4) == {(4,): 1, (3, 1): 1, (2, 2): 1}
-    assert kac_walton((2,), (2,), 2, 3) == {(3, 1): 1, (2, 2): 1}
-    assert kac_walton((2,), (2,), 2, 2) == {(2, 2): 1}
+    assert fusion_kac_walton((2,), (2,), FusionContext(2, 4)) == {(4,): 1, (3, 1): 1, (2, 2): 1}
+    assert fusion_kac_walton((2,), (2,), FusionContext(2, 3)) == {(3, 1): 1, (2, 2): 1}
+    assert fusion_kac_walton((2,), (2,), FusionContext(2, 2)) == {(2, 2): 1}
 
 
 def test_wide_rows_equal_kac_walton():
@@ -84,7 +46,7 @@ def test_wide_rows_equal_kac_walton():
     # the classical product (21 of 36 and 44 of 94 nu survive)
     for la, mu, n, k in (((10, 5), (20,), 3, 25), ((9, 2), (25, 3), 4, 28)):
         row = fusion_expand(la, mu, FusionContext(n, k))
-        assert row == kac_walton(la, mu, n, k), (la, mu)
+        assert row == fusion_kac_walton(la, mu, FusionContext(n, k)), (la, mu)
         assert len(row) == {3: 21, 4: 44}[n]
 
 
@@ -92,14 +54,14 @@ def test_wide_rows_equal_kac_walton():
 @given(level_inputs())
 def test_signed_sum_equals_kac_walton(inputs):
     la, mu, ctx = inputs
-    assert fusion_expand(la, mu, ctx) == kac_walton(la, mu, ctx.n, ctx.k)
+    assert fusion_expand(la, mu, ctx) == fusion_kac_walton(la, mu, ctx)
 
 
 @settings(max_examples=120, deadline=None)
 @given(level_inputs(max_cols=2))
 def test_fast_routes_equal_kac_walton(inputs):
     la, mu, ctx = inputs
-    row = kac_walton(la, mu, ctx.n, ctx.k)
+    row = fusion_kac_walton(la, mu, ctx)
     for nu in restricted_supersets(la, sum(mu), ctx):
         expected = row.get(nu, 0)
         assert fusion_rule(la, mu, nu, ctx) == expected, nu
@@ -113,3 +75,39 @@ def test_rows_grow_with_the_level(inputs):
     higher = fusion_expand(la, mu, FusionContext(ctx.n, ctx.k + 1))
     for nu, value in fusion_expand(la, mu, ctx).items():
         assert value <= higher.get(nu, 0), nu
+
+
+def _walk_from(base, factor, ctx):
+    """The row as the plan of ``factor`` walked from ``base``, with no swap."""
+    frontier = coefficients._plan_walk(base, factor, ctx)
+    return {s[: ctx.n - s.count(0)]: value for s, value in frontier.items() if value}
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_inputs())
+def test_rows_commute(inputs):
+    # s_la s_mu = s_mu s_la: the determinant of either factor, walked from the
+    # other, gives the same row, and so does the public row in either order
+    la, mu, ctx = inputs
+    row = _walk_from(la, mu, ctx)
+    assert row == _walk_from(mu, la, ctx)
+    assert fusion_expand(la, mu, ctx) == fusion_expand(mu, la, ctx) == row
+
+
+def test_reference_walks_no_plan_path_or_strip():
+    # the second oracle reads shapes (partitions) and itertools, and nothing of
+    # paths, words, involutions or the determinant's plan
+    tree = ast.parse(inspect.getsource(coefficients))
+    own = {"fusion_kac_walton", "_tableaux", "_sort_signed"}
+    foreign = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module not in ("partitions", "itertools")
+        for alias in node.names
+    }
+    foreign |= {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))} - own
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in own]
+    assert {fn.name for fn in functions} == own
+    for fn in functions:
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not names & foreign, (fn.name, sorted(names & foreign))

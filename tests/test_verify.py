@@ -19,6 +19,7 @@ from fusionkit.verify import (
     fusion_involution_checks,
     gepner_witten_checks,
     monotone_checks,
+    oracle_checks,
     path_identity_checks,
 )
 
@@ -33,7 +34,9 @@ def test_work_units_follow_the_sweep_order():
     assert [c.checked for c in fusion_involution_checks(2, 1, 0)] == [0] * 11
 
 
-@pytest.mark.parametrize("sweep", [fusion_involution_checks, monotone_checks, duality_checks])
+@pytest.mark.parametrize(
+    "sweep", [fusion_involution_checks, monotone_checks, duality_checks, oracle_checks]
+)
 def test_pool_gives_the_serial_report(sweep):
     # per-mu work units come back from the pool in work order
     serial = [c.as_dict() for c in sweep(3, 2, 6, jobs=1)]
@@ -120,6 +123,25 @@ def test_gepner_witten_check_refutes_the_printed_threshold(monkeypatch):
     monkeypatch.setattr(verify, "gepner_witten", printed)
     (closed_form,) = gepner_witten_checks(4, 7)
     assert not closed_form.passed and closed_form.checked == 440
+
+
+def test_second_oracle_check_names_the_rows_that_differ(monkeypatch):
+    (second,) = oracle_checks(3, 2, 5)
+    assert (second.name, second.checked, second.passed) == (
+        "fusion_expand_equals_kac_walton", 90, True
+    )
+    reference = verify.fusion_kac_walton
+
+    def drops_nu_21(la, mu, ctx):
+        return {nu: value for nu, value in reference(la, mu, ctx).items() if nu != (2, 1)}
+
+    monkeypatch.setattr(verify, "fusion_kac_walton", drops_nu_21)
+    (second,) = oracle_checks(3, 2, 5)
+    assert not second.passed and second.checked == 90
+    assert second.failures[0] == {
+        "check": "fusion_expand_equals_kac_walton",
+        "lambda": "1,1", "mu": "1", "n": 2, "k": 1, "differ_at": ["2,1"],
+    }
 
 
 def test_lr_check_compares_both_served_routes(monkeypatch):
