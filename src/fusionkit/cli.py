@@ -26,16 +26,15 @@ from operator import itemgetter
 from .coefficients import (
     UnsupportedShape,
     _fusion_row,
+    _rule_paths,
     fusion_oracle,
     fusion_rule,
     fusion_tableaux,
     lr_lattice,
     lr_paths,
 )
-from .involutions import is_k_fusion
 from .partitions import (
     FusionContext,
-    _conjugate,
     _format_partition,
     _restricted,
     format_partition,
@@ -43,7 +42,6 @@ from .partitions import (
     parse_partition,
     restricted_partitions_of,
 )
-from .paths import enumerate_paths
 from .words import pair_word, render
 
 EXIT_OK = 0
@@ -83,18 +81,15 @@ def _cmd_fusion(args) -> int:
 
 
 def _explain(la, mu, nu, ctx) -> None:
-    """List the counted paths, with bracket words where two blocks exist."""
+    """List the paths ``fusion_rule`` counts, each with its bracket word where
+    the level excludes D2: mu of two columns and fewer than n rows."""
     if mu and mu[0] > 2:
         print("# explanation available only for shapes with at most two columns")
         return
-    mu_conj = _conjugate(mu)
-    for path in enumerate_paths(la, nu, mu_conj, ctx):
-        if mu and mu[0] == 2 and len(mu) < ctx.n:
-            if not is_k_fusion(path, ctx, mu):
-                continue
-            print(f"# labels {path.labels()}  word {render(pair_word(path, 1))}")
-        else:
-            print(f"# labels {path.labels()}")
+    worded = mu[:1] == (2,) and len(mu) < ctx.n
+    for path in _rule_paths(la, mu, nu, ctx):
+        word = f"  word {render(pair_word(path, 1))}" if worded else ""
+        print(f"# labels {path.labels()}{word}")
 
 
 def _cmd_table(args) -> int:

@@ -21,7 +21,8 @@ plus the level correction (``fusion_rule``: restricted, less D2;
 
 Public functions validate their arguments once, by the rule in
 ``fusionkit.partitions``, the two fast routes through one guard
-(``_fast_route``); the private cores (``_fusion_row``, ``_fusion_rule``,
+(``_fast_route``); the private cores (``_fusion_row``, ``_fusion_rule``
+and the paths it counts, ``_rule_paths``, which ``fusion --explain`` lists,
 ``_fusion_tableaux``, ``_lr_paths``, ``_lr_lattice``, ``_count_paths``) take
 normalized input that the caller has already checked.
 """
@@ -136,17 +137,21 @@ def _fast_route(core, la, mu, nu, ctx: FusionContext) -> int:
 
 
 def _fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
-    """``fusion_rule`` of normalized restricted shapes: ``_lr_paths``'s walk
-    kept restricted, less the chains in D2 when mu has two columns and
-    fewer than n rows.  Else each chain counts: one column has no pair, and
-    after a full column of n boxes the level excludes nothing."""
+    """``fusion_rule`` of normalized restricted shapes: the paths of ``_rule_paths``."""
+    return sum(1 for _ in _rule_paths(la, mu, nu, ctx))
+
+
+def _rule_paths(la, mu, nu, ctx: FusionContext):
+    """The paths ``fusion_rule`` counts, for normalized restricted shapes:
+    ``_lr_paths``'s walk kept restricted, less the paths in D2 when mu has
+    two columns and fewer than n rows.  Else each path counts: one column has
+    no pair, and after a full column of n boxes the level excludes nothing."""
     mu_conj = _conjugate(mu)
     level_corrected = len(mu_conj) == 2 and len(mu) < ctx.n
-    return sum(
-        1
-        for chain in strip_chains(la, nu, mu_conj, ctx, pair_ok=_pair_balanced)
-        if not (level_corrected and in_D2(_trusted_path(la, sum(chain, ()), mu_conj), ctx))
-    )
+    for chain in strip_chains(la, nu, mu_conj, ctx, pair_ok=_pair_balanced):
+        path = _trusted_path(la, sum(chain, ()), mu_conj)
+        if not (level_corrected and in_D2(path, ctx)):
+            yield path
 
 
 def fusion_oracle(la, mu, nu, ctx: FusionContext) -> int:
@@ -242,13 +247,10 @@ def _fusion_row(la, mu, ctx: FusionContext) -> dict[Partition, int]:
     determinant is smaller, and most of a wide mu's signed terms cancel."""
     if not _restricted(la, ctx):
         return {}
-    row, n = {}, ctx.n
     base, factor = (mu, la) if la[:1] < mu[:1] else (la, mu)  # s_la s_mu = s_mu s_la
-    for shape, value in _plan_walk(base, factor, ctx).items():
-        if value < 0:
-            raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
-        if value:  # parts never increase, so the zeros are the trailing ones
-            row[shape[: n - shape.count(0)]] = value
+    row = {shape: value for shape, value in _plan_walk(base, factor, ctx).items() if value}
+    if min(row.values(), default=0) < 0:
+        raise RuntimeError(f"negative fusion coefficient for {la}, {mu} at {ctx}")
     return row
 
 
@@ -257,8 +259,8 @@ def _plan_walk(la, mu, ctx: FusionContext, signed: bool = True) -> dict[Partitio
     most n rows, on one frontier of restricted n-part shapes per set of used
     columns, one restricted strip step per move.  The last frontier counts
     each term's chains times sgn(sigma), or with ``signed=False`` every chain
-    of every term once.  Only the signed frontier is symmetric in la and mu,
-    so ``_fusion_row`` alone may swap them."""
+    of every term once, keyed by the normalized endpoint.  Only the signed
+    frontier is symmetric in la and mu, so ``_fusion_row`` alone may swap them."""
     n, k = ctx.n, ctx.k
     states = {0: {la + (0,) * (n - len(la)): 1}}
     for plan_row in _clamped_plan(mu, n):
@@ -278,7 +280,8 @@ def _plan_walk(la, mu, ctx: FusionContext, signed: bool = True) -> dict[Partitio
                         target[new_shape] = target.get(new_shape, 0) + sign * count
         states = grown
     (frontier,) = states.values()  # after the last row every column is used
-    return frontier
+    # parts never increase, so the zeros trail
+    return {shape[: n - shape.count(0)]: count for shape, count in frontier.items()}
 
 
 @lru_cache(maxsize=256)

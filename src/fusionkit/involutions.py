@@ -9,10 +9,11 @@ D2 tests first run the checks that the steps and the target decide on
 their own; a path that passes them is read once, as its pair word with
 the box of each letter, and the phi1 or phi2 move is worked out as the
 test decides.  Off both domains phi takes psi's move instead.  psi finds
-its pair on the path's own steps, with no tableau.  Every move reads its
-pair's word and boxes in one merge, flips its letters at once (psi's e^d
-or f^d flips d unpaired letters, which keeps every pair), and re-cuts the
-boxes along the image word in one splice, psi's once per (start, pair) key.
+its pair on the path's own steps, with no tableau, and cuts it out as a
+two-block path.  Every move reads such a pair's word and boxes in one merge,
+flips its letters at once (psi's e^d or f^d flips d unpaired letters, which
+keeps every pair), and re-cuts the boxes along the image word in one splice,
+psi's once per (start, pair) key.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .partitions import FusionContext, _conjugate, _perm_sign, _restricted, is_edge, normalize
-from .paths import Box, LatticePath, PathTableau, _trusted_path, _walk, boundary_shapes
+from .paths import Box, LatticePath, PathTableau, _trusted_path, _walk
 from .words import (
     BracketWord,
     _fits,
@@ -120,23 +121,22 @@ def _pair_move(start, steps, size: int) -> tuple:
     total size 7 the classical sweep moves 11,726 terms through 446 keys.  A
     bad pair raises every time: ``lru_cache`` keeps no exception."""
     pair = _trusted_path(start, steps, (size, len(steps) - size))
-    w, image, _, boxes = _psi_move(pair, 1)
-    moved, _ = _splice(pair, 1, image, boxes)
+    w, image, _, boxes = _psi_move(pair)
+    moved, _ = _splice(pair, image, boxes)
     return w, image, moved.steps, moved.ascents
 
 
-def _psi_move(path: LatticePath, r: int) -> tuple:
-    """(word, image, None, boxes): the pair word of blocks r, r+1 raised or
+def _psi_move(pair: LatticePath) -> tuple:
+    """(word, image, None, boxes): the word of a two-block path raised or
     lowered until the two blocks trade sizes, and the box of each letter.
 
     Flipping an unpaired letter leaves every pair intact, so e^d flips the
     d rightmost unpaired ')' and f^d the d leftmost unpaired '(' at once.
     """
-    sizes = path.ascents
-    d = sizes[r] - sizes[r - 1] - 1
+    d = pair.ascents[1] - pair.ascents[0] - 1
     if d == 0:
         raise RuntimeError("adjacent blocks differ by exactly one box at a violation")
-    w, boxes = _read(path, r)
+    w, boxes = _read(pair)
     side = 2 if d > 0 else 1
     free = [i for i, p in enumerate(w.partner) if p is None and w.letters[i][1] == side]
     if len(free) < abs(d):  # too few: the operator names the missing letter
@@ -144,30 +144,27 @@ def _psi_move(path: LatticePath, r: int) -> tuple:
     return w, flip_positions(w, free[-d:] if d > 0 else free[:-d]), None, boxes
 
 
-def _splice(path: LatticePath, r: int, image: BracketWord, boxes) -> tuple[LatticePath, tuple]:
-    """Blocks r, r+1 of the path re-cut along ``image``, and the shapes at
-    the new pair's three boundaries.
+def _splice(pair: LatticePath, image: BracketWord, boxes) -> tuple[LatticePath, tuple]:
+    """The two-block path re-cut along ``image``, and the shapes at its
+    three boundaries.
 
     ``boxes`` holds the box of each letter, in word order.  A move trades
     letters between the blocks and keeps their boxes (a moved label occurs
     once in the pair), so each box joins its letter's block in ``image``,
     read backwards into add order.  A block that is not a vertical strip
-    raises ``RuntimeError``.  The steps before the pair are trusted.
+    raises ``RuntimeError``.
     """
-    lo = sum(path.ascents[: r - 1])
     blocks = ([], [])
     for (_, blk), box in zip(reversed(image.letters), reversed(boxes)):
         blocks[blk - 1].append(box)
     first, second = map(tuple, blocks)
-    start = _shape_at(path, lo)
     try:
-        middle = _walk(start, first)
+        middle = _walk(pair.base, first)
         end = _walk(middle, second)
     except ValueError as exc:
         raise RuntimeError(f"re-cut block pair is not a strip chain: {exc}") from None
-    steps = path.steps[:lo] + first + second + path.steps[lo + len(boxes) :]
-    ascents = path.ascents[: r - 1] + (len(first), len(second)) + path.ascents[r + 1 :]
-    return _trusted_path(path.base, steps, ascents), (start, middle, end)
+    moved = _trusted_path(pair.base, first + second, (len(first), len(second)))
+    return moved, (pair.base, middle, end)
 
 
 def _shape_at(path: LatticePath, lo: int) -> tuple:
@@ -177,21 +174,19 @@ def _shape_at(path: LatticePath, lo: int) -> tuple:
     return tuple(rows.values())
 
 
-def _read(path: LatticePath, r: int = 1) -> tuple[BracketWord, list[Box]]:
-    """The pair word of blocks r, r+1 and the box of each letter, in word order.
+def _read(pair: LatticePath) -> tuple[BracketWord, list[Box]]:
+    """The word of a two-block path and the box of each letter, in word order.
 
     One merge of the two blocks' steps, each read backwards from its
     smallest label; a label in both blocks puts the first-block letter
     first.  A block whose labels do not strictly decrease raises
     ``ValueError``, as in ``word_of``.
     """
-    lo = sum(path.ascents[: r - 1])
-    p = lo + path.ascents[r - 1]
-    steps = path.steps
-    i, j = p - 1, p + path.ascents[r] - 1  # the next box of each block, read backwards
+    p, steps = pair.ascents[0], pair.steps
+    i, j = p - 1, len(steps) - 1  # the next box of each block, read backwards
     letters, boxes, last = [], [], {}
-    while i >= lo or j >= p:
-        if j < p or (i >= lo and steps[i][1] - steps[i][0] <= steps[j][1] - steps[j][0]):
+    while i >= 0 or j >= p:
+        if j < p or (i >= 0 and steps[i][1] - steps[i][0] <= steps[j][1] - steps[j][0]):
             box, blk = steps[i], 1
             i -= 1
         else:
@@ -199,7 +194,7 @@ def _read(path: LatticePath, r: int = 1) -> tuple[BracketWord, list[Box]]:
             j -= 1
         label = box[1] - box[0]
         if label <= last.get(blk, label - 1):
-            raise ValueError(f"block {blk} of pair {r} is not strictly decreasing")
+            raise ValueError(f"block {blk} of the pair is not strictly decreasing")
         last[blk] = label
         letters.append((label, blk))
         boxes.append(box)
@@ -260,7 +255,7 @@ def _apply(name: str, path: LatticePath, move, ctx: FusionContext) -> LatticePat
     w, image, mark, boxes = move
     _trace(f"{name} word", w, mark)
     _trace(f"{name} image", image, mark)
-    new_path, shapes = _splice(path, 1, image, boxes)
+    new_path, shapes = _splice(path, image, boxes)
     for shape in shapes:
         if not _restricted(shape, ctx):
             raise RuntimeError(f"rebuilt path leaves the restricted region at {shape}")
@@ -339,14 +334,6 @@ def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
         if move is None and _fits(path, mu_conj):
             return term
     if move is None:
-        name, move = "psi", _psi_move(path, 1)
+        name, move = "psi", _psi_move(path)
     swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)
     return SignedTerm(swap, _apply(name, path, move, ctx))
-
-
-def is_k_fusion(path: LatticePath, ctx: FusionContext, mu) -> bool:
-    """Fitting, restricted at every block boundary, and outside D2."""
-    mu = normalize(mu)
-    if any(not _restricted(s, ctx) for s in boundary_shapes(path)):
-        return False
-    return _fits(path, _conjugate(mu)) and not in_D2(path, ctx)

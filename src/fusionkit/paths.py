@@ -11,7 +11,7 @@ target) from a bounded memo of that walk.  Only ``path_from_label_blocks``
 places labels at addable boxes, and only it builds a path through the
 validating ``LatticePath``; the builders that hold a normalized base and
 blocks that cover the steps (``enumerate_paths``, ``omega_terms``, the
-involutions' re-cut, ``fusion_rule``'s D2 test) use ``_trusted_path``.
+involutions' re-cut, ``fusion_rule``'s walk) use ``_trusted_path``.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def enumerate_paths(
     Blocks are label-decreasing (vertical strips).  Any negative block size
     means the empty set.  With a context, the partitions at block boundaries
     (including base and target) must all be restricted.  The 1,024 most
-    recently used argument tuples are cached; ``cli._explain``, the one
-    caller in the package, passes all four positionally: one key a set.
+    recently used argument tuples are cached.  Nothing in the package calls
+    it; the tests do, and the benchmark's trace reads its cache statistics.
     """
     base, target, ascents = normalize(base), normalize(target), tuple(ascents)
     return tuple(

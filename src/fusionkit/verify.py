@@ -304,13 +304,12 @@ def _fusion_chunk(args) -> list[CheckResult]:
 def _chain_totals(la, mu, ctx: FusionContext) -> dict[Partition, tuple[int, int]]:
     """Per nu, the unsigned totals (restricted, unrestricted) of the strip
     chains from la over every term's composition: two unsigned walks of the
-    plan, whose n-part shapes lose their trailing zeros.  Unrestricted chains
-    keep n rows but may take any span, so the two agree exactly when no
-    boundary is obstructed."""
+    plan.  Unrestricted chains keep n rows but may take any span, so the two
+    agree exactly when no boundary is obstructed."""
     held = _plan_walk(la, mu, ctx, signed=False)  # among the unrestricted chains
     # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
     every = _plan_walk(la, mu, FusionContext(ctx.n, ctx.k + sum(la) + sum(mu)), signed=False)
-    return {s[: ctx.n - s.count(0)]: (held.get(s, 0), count) for s, count in every.items()}
+    return {s: (held.get(s, 0), count) for s, count in every.items()}
 
 
 def fusion_involution_checks(

@@ -10,8 +10,16 @@ import pytest
 
 from fusionkit import cli
 from fusionkit.cli import main
-from fusionkit.coefficients import fusion_expand
-from fusionkit.partitions import FusionContext, format_partition, restricted_partitions_of
+from fusionkit.coefficients import fusion_expand, fusion_rule
+from fusionkit.partitions import (
+    FusionContext,
+    format_partition,
+    is_restricted,
+    partitions_of,
+    partitions_up_to,
+    restricted_partitions_of,
+    subpartitions,
+)
 
 SRC = pathlib.Path(cli.__file__).resolve().parents[1]
 
@@ -74,6 +82,31 @@ def test_fusion_explain(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "1"
     assert len(lines) == 2 and lines[1].startswith("# labels")
+
+
+def test_explain_lists_as_many_paths_as_the_rule_counts(capsys):
+    # every restricted triple with n 2..4, k 1..3, |nu| <= 8 and mu of one or two
+    # columns, with fewer than n rows or with n: one line per path the rule counts
+    triples, kinds = 0, set()
+    for n in range(2, 5):
+        for k in range(1, 4):
+            ctx = FusionContext(n, k)
+            for nu in partitions_up_to(8, max_len=n):
+                if not is_restricted(nu, ctx):
+                    continue
+                for la in subpartitions(nu):
+                    if not is_restricted(la, ctx):
+                        continue
+                    for mu in partitions_of(sum(nu) - sum(la), max_part=2, max_len=n):
+                        if not mu or not is_restricted(mu, ctx):
+                            continue
+                        cli._explain(la, mu, nu, ctx)
+                        lines = capsys.readouterr().out.splitlines()
+                        assert all(line.startswith("# labels ") for line in lines)
+                        assert len(lines) == fusion_rule(la, mu, nu, ctx), (la, mu, nu, ctx)
+                        kinds.add((mu[0], len(mu) == n))
+                        triples += 1
+    assert triples == 1581 and kinds == {(1, False), (1, True), (2, False), (2, True)}
 
 
 def test_table_json_and_determinism(capsys):

@@ -199,8 +199,7 @@ def test_unsigned_walk_tallies_the_chains():
                     comp = _sigma_dot(sigma, conjugate(mu))
                     for nu in restricted_supersets(base, sum(mu), ctx):
                         if count := sum(1 for _ in strip_chains(base, nu, comp, ctx)):
-                            shape = nu + (0,) * (n - len(nu))  # the walk keeps n parts
-                            tally[shape] = tally.get(shape, 0) + count
+                            tally[nu] = tally.get(nu, 0) + count
                 cases.append((base, mu, ctx, tally))
     _strip_successors.cache_clear()
     for warm in (False, True):

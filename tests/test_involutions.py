@@ -1,10 +1,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import involutions
 
-from fusionkit.coefficients import fusion_oracle, lr_paths, omega_terms
+from fusionkit.coefficients import _plan_sigmas, _rule_paths, fusion_oracle, lr_paths, omega_terms
 from fusionkit.involutions import (
     SignedTerm,
     _d2_move,
@@ -16,7 +18,6 @@ from fusionkit.involutions import (
     canonical_violation,
     in_D1,
     in_D2,
-    is_k_fusion,
     phi,
     phi1,
     phi2,
@@ -35,11 +36,13 @@ from fusionkit.partitions import (
 from fusionkit.paths import (
     LatticePath,
     PathTableau,
+    _walk,
     add_box,
     boundary_shapes,
     enumerate_paths,
     path_from_label_blocks,
     path_to_tableau,
+    vertical_strips,
 )
 from fusionkit.verify import classical_involution_checks
 from fusionkit.words import (
@@ -205,12 +208,37 @@ def test_a_bad_recut_is_an_internal_fault():
     w, boxes = _read(path)
     assert w.brackets == ")()"
     with pytest.raises(RuntimeError, match="not a strip chain"):
-        _splice(path, 1, flip_positions(w, [2]), boxes)
+        _splice(path, flip_positions(w, [2]), boxes)
+
+
+def _block_pair(path, r):
+    # blocks r and r + 1 of a path as a two-block path of their own, from the
+    # shape the blocks before them reach; built through the validating
+    # LatticePath and walked box by box, not by psi's trusted cut
+    lo = sum(path.ascents[: r - 1])
+    hi = lo + path.ascents[r - 1] + path.ascents[r]
+    start = _walk(path.base, path.steps[:lo])
+    return LatticePath(start, path.steps[lo:hi], path.ascents[r - 1 : r + 1])
+
+
+def _psi_by_pair(term, r):
+    # psi's move of the violated pair r, with no memo: cut the pair out, read,
+    # flip and re-cut it, and put it back between the untouched blocks
+    path = term.path
+    pair = _block_pair(path, r)
+    _, image, _, boxes = _psi_move(pair)
+    moved, _ = _splice(pair, image, boxes)
+    lo = sum(path.ascents[: r - 1])
+    steps = path.steps[:lo] + moved.steps + path.steps[lo + len(moved.steps) :]
+    ascents = path.ascents[: r - 1] + moved.ascents + path.ascents[r + 1 :]
+    swap = {r: r + 1, r + 1: r}
+    sigma = tuple(swap.get(v, v) for v in term.sigma)
+    return SignedTerm(sigma, LatticePath(path.base, steps, ascents))
 
 
 def test_psi_memo_equals_the_uncached_move():
     # psi looks each block pair's move up by (start shape, pair steps, first
-    # block size); the reference reads, flips and re-cuts the whole path
+    # block size); the reference cuts the pair out afresh and moves it
     moved = 0
     for nu in partitions_up_to(6):
         for la in subpartitions(nu):
@@ -219,13 +247,53 @@ def test_psi_memo_equals_the_uncached_move():
                     r = canonical_violation(path_to_tableau(term.path), mu)
                     if r is None:
                         continue
-                    _, image, _, boxes = _psi_move(term.path, r)
-                    expected, _ = _splice(term.path, r, image, boxes)
-                    swap = {r: r + 1, r + 1: r}
-                    sigma = tuple(swap.get(v, v) for v in term.sigma)
-                    assert _psi(term, mu) == SignedTerm(sigma, expected), term
+                    assert _psi(term, mu) == _psi_by_pair(term, r), term
                     moved += 1
     assert moved == 2442
+
+
+@st.composite
+def classical_terms(draw):
+    """(term, mu): one signed term of omega_terms(la, mu, nu), for the nu it
+    reaches.  la has at most 4 rows and parts up to 6, mu up to 5 rows and 5
+    columns; sigma comes from the plan at a drawn number of rows, then one
+    vertical strip per block of sigma . mu', each drawn from its options."""
+    la = tuple(sorted(draw(st.lists(st.integers(1, 6), max_size=4)), reverse=True))
+    mu = tuple(sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)), reverse=True))
+    rows = draw(st.integers(max(len(la), len(mu)), len(la) + len(mu)))
+    sigma, comp = draw(st.sampled_from(list(_plan_sigmas(mu, rows))))
+    # a block adds at most one box to the first row, so this bound is never met
+    within = ((la[0] if la else 0) + len(comp),) * rows
+    shape, steps = la + (0,) * (rows - len(la)), ()
+    for size in comp:
+        shape, boxes = draw(st.sampled_from(list(vertical_strips(shape, size, within))))
+        steps += boxes
+    return SignedTerm(sigma, LatticePath(la, steps, comp)), mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(classical_terms())
+def test_psi_laws_on_one_random_term(drawn):
+    # the involution laws per term, with no table of terms, past the sweep's
+    # |nu| <= 8; a moved term also equals the reference move of its pair, and
+    # fresh block pairs miss the pair memo, so its misses are exercised too
+    term, mu = drawn
+    path, image = term.path, psi(term, mu)
+    assert psi(image, mu) == term
+    assert (image.path.base, image.path.target) == (path.base, path.target)
+    columns = conjugate(mu)  # entry sigma_j of sigma . mu' is mu'_j - j + sigma_j
+    composition = [0] * len(columns)
+    for j, (value, column) in enumerate(zip(image.sigma, columns), start=1):
+        composition[value - 1] = column - j + value
+    assert image.path.ascents == tuple(composition)
+    r = canonical_violation(path_to_tableau(path), mu)
+    if r is None:
+        assert image == term
+        assert term.sigma == tuple(range(1, len(columns) + 1)) and fits(path, mu)
+    else:
+        assert image.sign == -term.sign
+        assert image == _psi_by_pair(term, r)
+        _assert_rebuilt_from_scratch(image.path, path)
 
 
 def test_psi_memo_is_keyed_by_the_block_pair_alone():
@@ -264,17 +332,18 @@ def test_one_flip_equals_the_operators_iterated():
                         d = path.ascents[r] - path.ascents[r - 1] - 1
                         if d == 0:
                             continue
-                        w, _ = _read(path, r)
+                        pair = _block_pair(path, r)
+                        w, _ = _read(pair)
                         expected = w
                         try:
                             for _ in range(abs(d)):
                                 expected = raise_e(expected) if d > 0 else lower_f(expected)
                         except ValueError as exc:
                             with pytest.raises(ValueError, match=str(exc)):
-                                _psi_move(path, r)
+                                _psi_move(pair)
                             failures += 1
                             continue
-                        image = _psi_move(path, r)[1]
+                        image = _psi_move(pair)[1]
                         assert image == expected and image.partner == expected.partner, path
                         moves += 1
     assert (moves, failures) == (4334, 4110)
@@ -289,7 +358,7 @@ def test_read_merges_the_pair_word_with_its_boxes():
                 for path in enumerate_paths(la, nu, conjugate(mu)):
                     lo = 0
                     for r in range(1, len(path.ascents)):
-                        w, boxes = _read(path, r)
+                        w, boxes = _read(_block_pair(path, r))
                         reference = pair_word(path, r)
                         assert (w.letters, w.partner) == (reference.letters, reference.partner)
                         assert [col - row for row, col in boxes] == [lab for lab, _ in w.letters]
@@ -449,7 +518,7 @@ def _d2_reference(path, ctx):
     if not (column_strict and structure and last_column and top):
         return structure, None
     flips = [i for i in w.unpaired() if w.letters[i][1] == 1] + [w.partner[kept]]
-    return structure, _splice(path, 1, flip_positions(w, flips), boxes)[0]
+    return structure, _splice(path, flip_positions(w, flips), boxes)[0]
 
 
 def test_in_D2_equals_the_four_conditions_evaluated_in_full(monkeypatch):
@@ -520,12 +589,14 @@ def test_in_D2_rejects_an_empty_second_block():
 
 
 def test_phi_fixed_points_are_k_fusion():
+    # phi fixes exactly the paths that the level-k rule counts
     mu = (2, 1)
     for nu in [(3, 2, 1), (2, 2, 2)]:
+        counted = set(_rule_paths((2, 1), mu, nu, CTX32))
         for p in enumerate_paths((2, 1), nu, conjugate(mu), CTX32):
             term = SignedTerm((1, 2), p)
             fixed = phi(term, CTX32, mu) == term
-            assert fixed == is_k_fusion(p, CTX32, mu)
+            assert fixed == (p in counted)
 
 
 def test_bot_letters_pair_when_both_blocks_touch_first_row():
@@ -567,4 +638,4 @@ def test_exceptional_instance_at_rank_five():
     (p,) = enumerate_paths(la, nu, conjugate(mu), ctx)
     assert fits(p, mu)
     assert in_D2(p, ctx)
-    assert not is_k_fusion(p, ctx, mu)
+    assert p not in _rule_paths(la, mu, nu, ctx)

@@ -8,6 +8,7 @@ nothing of the package but the validation of the shapes it is handed.
 
 import ast
 import inspect
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,10 +78,31 @@ def test_rows_grow_with_the_level(inputs):
         assert value <= higher.get(nu, 0), nu
 
 
+def _qdim(p, ctx):
+    # prod over i < j <= n of sin(pi (p_i - p_j + j - i) / (n + k)) / sin(pi (j - i) / (n + k))
+    n, parts = ctx.n, p + (0,) * (ctx.n - len(p))
+    angle = math.pi / (n + ctx.k)
+    return math.prod(
+        math.sin(angle * (parts[i] - parts[j] + j - i)) / math.sin(angle * (j - i))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_inputs())
+def test_rows_keep_the_quantum_dimension(inputs):
+    # the quantum dimension is a character of the fusion ring:
+    # sum_nu N(la, mu; nu) qdim(nu) = qdim(la) qdim(mu)
+    la, mu, ctx = inputs
+    total = sum(value * _qdim(nu, ctx) for nu, value in fusion_expand(la, mu, ctx).items())
+    assert math.isclose(total, _qdim(la, ctx) * _qdim(mu, ctx), rel_tol=1e-9)
+
+
 def _walk_from(base, factor, ctx):
     """The row as the plan of ``factor`` walked from ``base``, with no swap."""
     frontier = coefficients._plan_walk(base, factor, ctx)
-    return {s[: ctx.n - s.count(0)]: value for s, value in frontier.items() if value}
+    return {s: value for s, value in frontier.items() if value}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import partition_strategy
 from fusionkit.partitions import (
     FusionContext,
     _contains,
@@ -71,6 +71,22 @@ def test_parse_and_format():
     assert format_partition(()) == "0"
     with pytest.raises(ValueError):
         parse_partition("2,x")
+
+
+@st.composite
+def partition_strategy(draw, max_size=12, max_len=6):
+    n_parts = draw(st.integers(min_value=0, max_value=max_len))
+    parts = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=0, max_value=max_size),
+                min_size=n_parts,
+                max_size=n_parts,
+            )
+        ),
+        reverse=True,
+    )
+    return normalize(parts)
 
 
 @given(partition_strategy())
