@@ -51,50 +51,3 @@ from .paths import (
     path_to_tableau,
 )
 from .words import BracketWord, fits, lower_f, raise_e, render, word_of, word_type
-
-__all__ = [
-    "Box",
-    "BracketWord",
-    "FusionContext",
-    "LatticePath",
-    "PathTableau",
-    "SignedTerm",
-    "UnsupportedShape",
-    "boundary_shapes",
-    "canonical_violation",
-    "conjugate",
-    "count_paths",
-    "diagonal_label",
-    "enumerate_paths",
-    "fits",
-    "format_partition",
-    "fusion_expand",
-    "fusion_oracle",
-    "fusion_rule",
-    "fusion_tableaux",
-    "gepner_witten",
-    "in_D1",
-    "in_D2",
-    "is_border",
-    "is_edge",
-    "is_restricted",
-    "lower_f",
-    "lr_lattice",
-    "lr_paths",
-    "normalize",
-    "omega_terms",
-    "parse_partition",
-    "path_from_label_blocks",
-    "path_to_tableau",
-    "phi",
-    "phi1",
-    "phi2",
-    "psi",
-    "quotient",
-    "raise_e",
-    "rank_level_dual",
-    "render",
-    "verify_restricted_path_identity",
-    "word_of",
-    "word_type",
-]

@@ -26,16 +26,7 @@ from itertools import accumulate
 
 from .partitions import FusionContext, _conjugate, _perm_sign, _restricted, is_edge, normalize
 from .paths import Box, LatticePath, PathTableau, _trusted_path, _walk
-from .words import (
-    BracketWord,
-    _fits,
-    _from_letters,
-    flip_positions,
-    lower_f,
-    raise_e,
-    render,
-    word_type,
-)
+from .words import BracketWord, _fits, flip_positions, lower_f, raise_e, render, word_of
 
 
 _TRACE = os.environ.get("FUSIONKIT_TRACE") == "1"
@@ -177,28 +168,15 @@ def _shape_at(path: LatticePath, lo: int) -> tuple:
 def _read(pair: LatticePath) -> tuple[BracketWord, list[Box]]:
     """The word of a two-block path and the box of each letter, in word order.
 
-    One merge of the two blocks' steps, each read backwards from its
-    smallest label; a label in both blocks puts the first-block letter
-    first.  A block whose labels do not strictly decrease raises
-    ``ValueError``, as in ``word_of``.
+    ``word_of`` merges the labels and rejects a block that does not strictly
+    decrease.  A block's letters rise as its steps are read backwards, so a
+    walk back from each block's end meets its boxes in word order.
     """
     p, steps = pair.ascents[0], pair.steps
-    i, j = p - 1, len(steps) - 1  # the next box of each block, read backwards
-    letters, boxes, last = [], [], {}
-    while i >= 0 or j >= p:
-        if j < p or (i >= 0 and steps[i][1] - steps[i][0] <= steps[j][1] - steps[j][0]):
-            box, blk = steps[i], 1
-            i -= 1
-        else:
-            box, blk = steps[j], 2
-            j -= 1
-        label = box[1] - box[0]
-        if label <= last.get(blk, label - 1):
-            raise ValueError(f"block {blk} of the pair is not strictly decreasing")
-        last[blk] = label
-        letters.append((label, blk))
-        boxes.append(box)
-    return _from_letters(letters), boxes
+    labels = [col - row for row, col in steps]
+    w = word_of(labels[:p], labels[p:])
+    rising = (reversed(steps[:p]), reversed(steps[p:]))
+    return w, [next(rising[blk - 1]) for _, blk in w.letters]
 
 
 def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
@@ -271,6 +249,14 @@ def _d2_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
     the letter left of the column's bottom box; and the smallest letter is
     an unpaired left parenthesis or paired with the kept letter.  The word
     is read, as in ``_d1_move``, only after the step and target checks.
+
+    The last test implies that the path fits.  The one first-row step is
+    (1, nu_1), so every box of the last column is a step, block 1's in rows
+    1..j and block 2's below, and the kept letter is the box (j + 1, nu_1).
+    A later block-2 letter has a larger label, so its row is some r <= j,
+    which block 1 ended at nu_1: only '(' follow the kept letter.  A first
+    '(' left unpaired leaves no ')' unpaired after it; one paired with the
+    kept letter closes a balanced prefix, and only '(' follow.
     """
     if len(path.ascents) != 2 or not path.ascents[0] >= path.ascents[1] > 0:
         raise ValueError("D2 is defined for two nonempty blocks with the first at least as long")
@@ -282,8 +268,6 @@ def _d2_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
         return None
     w, boxes = _read(path)
     _trace("membership word", w)
-    if word_type(w)[1] != 0:  # fits(path, conjugate(ascents)): one block pair
-        return None
     column = [i for i, box in enumerate(boxes) if box[1] == nu[0]]  # bottom to top
     second = [i for i in column if w.letters[i][1] == 2]
     if not second:

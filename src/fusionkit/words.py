@@ -74,9 +74,8 @@ def word_of(p1_labels, p2_labels) -> BracketWord:
 
 def word_type(w: BracketWord) -> tuple[int, int]:
     """(unpaired left count, unpaired right count)."""
-    left = sum(1 for i in w.unpaired() if w.letters[i][1] == 1)
-    right = sum(1 for i in w.unpaired() if w.letters[i][1] == 2)
-    return left, right
+    blocks = [w.letters[i][1] for i in w.unpaired()]
+    return blocks.count(1), blocks.count(2)
 
 
 def raise_e(w: BracketWord) -> BracketWord:
@@ -131,8 +130,4 @@ def _fits(path: LatticePath, mu_conj) -> bool:
 
 def render(w: BracketWord, mark: int | None = None) -> str:
     """Bracket string for debugging; ``mark`` wraps one position in [ ]."""
-    out = []
-    for i, (_, blk) in enumerate(w.letters):
-        ch = "(" if blk == 1 else ")"
-        out.append(f"[{ch}]" if i == mark else ch)
-    return "".join(out)
+    return "".join(f"[{ch}]" if i == mark else ch for i, ch in enumerate(w.brackets))

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from fusionkit import involutions
@@ -98,6 +98,13 @@ def test_equal_entries_in_a_row_are_no_violation():
     # is "()", which pairs; two adjacent strips of a path never meet this tie
     assert canonical_violation(PathTableau(((0,), (0,))), (2,)) is None
     assert canonical_violation(PathTableau(((1,), (0,))), (2,)) == 1
+
+
+def test_a_longer_right_column_is_a_violation():
+    # column r + 1 outlasting column r breaks column-strictness even when the rows
+    # the two columns share are in order; the sweeps never meet this case, since
+    # psi's blocks would then differ by exactly one box
+    assert canonical_violation(PathTableau(((0,), (1, 0))), (2, 1)) == 1
 
 
 def test_canonical_violation_column_count_mismatch():
@@ -271,6 +278,14 @@ def classical_terms(draw):
     return SignedTerm(sigma, LatticePath(la, steps, comp)), mu
 
 
+def _sigma_dot(sigma, mu):
+    # the composition sigma . mu', whose entry sigma_j is mu'_j - j + sigma_j
+    composition = [0] * len(sigma)
+    for j, (value, column) in enumerate(zip(sigma, conjugate(mu)), start=1):
+        composition[value - 1] = column - j + value
+    return tuple(composition)
+
+
 @settings(max_examples=300, deadline=None)
 @given(classical_terms())
 def test_psi_laws_on_one_random_term(drawn):
@@ -281,19 +296,69 @@ def test_psi_laws_on_one_random_term(drawn):
     path, image = term.path, psi(term, mu)
     assert psi(image, mu) == term
     assert (image.path.base, image.path.target) == (path.base, path.target)
-    columns = conjugate(mu)  # entry sigma_j of sigma . mu' is mu'_j - j + sigma_j
-    composition = [0] * len(columns)
-    for j, (value, column) in enumerate(zip(image.sigma, columns), start=1):
-        composition[value - 1] = column - j + value
-    assert image.path.ascents == tuple(composition)
+    assert image.path.ascents == _sigma_dot(image.sigma, mu)
     r = canonical_violation(path_to_tableau(path), mu)
     if r is None:
         assert image == term
-        assert term.sigma == tuple(range(1, len(columns) + 1)) and fits(path, mu)
+        assert term.sigma == tuple(range(1, mu[0] + 1)) and fits(path, mu)
     else:
         assert image.sign == -term.sign
         assert image == _psi_by_pair(term, r)
         _assert_rebuilt_from_scratch(image.path, path)
+
+
+@st.composite
+def level_terms(draw):
+    """(term, ctx, mu): one signed term of omega_terms(la, mu, nu, ctx), for the
+    nu it reaches, at n <= 6 and 2 <= k <= 5.  mu has two columns and fewer
+    than n rows; la has n parts in 0..k, each raised by the same 0..2, so it
+    is restricted; sigma comes from the plan, then one vertical strip per
+    block, drawn among the choices whose shape is restricted; a block with
+    no such choice rejects the draw."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    ctx = FusionContext(n, k)
+    twos = draw(st.integers(1, n - 1))
+    mu = (2,) * twos + (1,) * draw(st.integers(0, n - 1 - twos))
+    parts = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)), reverse=True)
+    low = draw(st.integers(0, 2))
+    la = normalize(tuple(part + low for part in parts))
+    sigma, comp = draw(st.sampled_from(list(_plan_sigmas(mu, n))))
+    # a block adds at most one box to the first row, so this bound is never met
+    shape, steps, within = la + (0,) * (n - len(la)), (), ((la[0] if la else 0) + 2,) * n
+    for size in comp:
+        options = [o for o in vertical_strips(shape, size, within) if is_restricted(o[0], ctx)]
+        assume(options)
+        shape, boxes = draw(st.sampled_from(options))
+        steps += boxes
+    return SignedTerm(sigma, LatticePath(la, steps, comp)), ctx, mu
+
+
+@settings(max_examples=400, deadline=None)
+@given(level_terms())
+def test_phi_laws_on_one_random_term(drawn):
+    # the level-k laws per term, with no table of terms, past the level sweeps'
+    # n <= 5, k <= 4, |nu| <= 10: phi squares to the identity, flips the sign of
+    # a moved term and keeps it a term; a fixed term is a fitting identity term
+    # outside D2; and phi1 and phi2 trade D1 and D2
+    term, ctx, mu = drawn
+    path, image = term.path, phi(term, ctx, mu)
+    assert phi(image, ctx, mu) == term
+    assert (image.path.base, image.path.target) == (path.base, path.target)
+    assert image.path.ascents == _sigma_dot(image.sigma, mu)
+    assert all(is_restricted(shape, ctx) for shape in boundary_shapes(image.path))
+    if image == term:
+        assert term.sigma == (1, 2) and fits(path, mu) and not in_D2(path, ctx)
+    else:
+        assert image.sign == -term.sign
+        _assert_rebuilt_from_scratch(image.path, path)
+    if in_D1(path, ctx):
+        event("D1")
+        assert image.path == phi1(path, ctx) and in_D2(image.path, ctx)
+        assert phi2(image.path, ctx) == path
+    elif path.ascents[0] >= path.ascents[1] and in_D2(path, ctx):
+        event("D2")
+        assert image.path == phi2(path, ctx) and in_D1(image.path, ctx)
+        assert phi1(image.path, ctx) == path
 
 
 def test_psi_memo_is_keyed_by_the_block_pair_alone():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pickle
 import pkgutil
@@ -28,19 +29,27 @@ from fusionkit import (
 from fusionkit.paths import _trusted_path
 
 
-def test_all_matches_public_imports():
+def _public_imports():
+    # (submodule, name) of each public name that fusionkit/__init__.py imports;
+    # those imports are the package's exports
     tree = ast.parse(pathlib.Path(fusionkit.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
+    return [
+        (node.module, alias.asname or alias.name)
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    }
-    public = {name for name in imported if not name.startswith("_")}
-    assert len(fusionkit.__all__) == len(set(fusionkit.__all__))
-    assert set(fusionkit.__all__) == public
-    for name in fusionkit.__all__:
-        assert getattr(fusionkit, name, None) is not None, name
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+
+
+def test_star_import_binds_every_public_import():
+    namespace = {}
+    exec("from fusionkit import *", namespace)
+    public = _public_imports()
+    assert len(public) == len({name for _, name in public}) > 40
+    for module, name in public:
+        source = importlib.import_module(f"fusionkit.{module}")
+        assert namespace.get(name) is getattr(source, name), name
 
 
 def test_public_entry_points_normalize_and_validate():
@@ -277,7 +286,7 @@ def test_no_unused_imports_or_private_names():
                     name = alias.asname or alias.name.split(".")[0]
                     assert name in loaded, f"fusionkit.{module} imports {name} and never uses it"
     core = {"partitions", "paths", "words", "involutions", "coefficients"}
-    exported = set(fusionkit.__all__)
+    exported = {name for _, name in _public_imports()}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -332,3 +341,22 @@ def test_no_unused_imports_or_private_names():
     }
     unread = sorted(exported - referenced - kept)
     assert not unread, f"fusionkit exports {unread}, which nothing in src reads"
+
+
+def test_every_mutant_snippet_occurs_once():
+    # the mutation catalogue (tools/mutants.py, run outside tier-1) applies each
+    # mutant to the one place its snippet names; an edit that moves or repeats a
+    # snippet must update the catalogue, or the mutant would test nothing
+    root = pathlib.Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    catalogue = mutants.MUTANTS
+    assert len(catalogue) >= 10 and len({m.id for m in catalogue}) == len(catalogue)
+    for m in catalogue:
+        assert m.file.startswith("src/fusionkit/") and m.snippet != m.replacement, m.id
+        assert (root / m.file).read_text().count(m.snippet) == 1, m.id
+        for test in m.tests:
+            file, _, name = test.partition("::")
+            assert (root / file).is_file(), (m.id, test)
+            assert not name or f"def {name}(" in (root / file).read_text(), (m.id, test)
