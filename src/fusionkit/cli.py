@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 unsupported shape, 4 internal invariant breach (a bug), 141 stdout
 closed by its reader.  Output is deterministic byte-for-byte for fixed
-arguments.  Set FUSIONKIT_TRACE=1 to stream bracket words of every
-involution step to stderr.
+arguments, but for the ``wall_time_s`` of a ``verify`` report.  Set
+FUSIONKIT_TRACE=1 to stream bracket words of every involution step to stderr.
 
 ``main`` builds its parser on first use and keeps it for the life of the
 process, so a caller that runs many requests through ``main`` pays for it

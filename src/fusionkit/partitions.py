@@ -160,24 +160,25 @@ def _perm_sign(sigma: tuple[int, ...]) -> int:
 
 
 def partitions_of(total: int, max_part: int | None = None, max_len: int | None = None):
-    """Yield all partitions of ``total`` (optionally bounding part size / length)."""
-    if max_part is None:
-        max_part = total
-    if max_len is None:
-        max_len = total
-
-    def rec(rest, cap, slots, prefix):
-        if rest == 0:
-            yield tuple(prefix)
+    """Yield all partitions of ``total`` (optionally bounding part size / length)
+    in decreasing lexicographic order.  One loop: fill each row with the largest
+    part that fits, then shrink the last part that leaves room for the rest."""
+    cap = total if max_part is None else max_part
+    slots = total if max_len is None else max_len
+    parts, rest = [], total
+    while True:
+        while rest > 0 and len(parts) < slots:
+            parts.append(min(rest, parts[-1] if parts else cap))
+            rest -= parts[-1]
+        if rest:
+            return  # only the first fill can fail: every shrink below leaves room
+        yield tuple(parts)
+        while parts and rest >= (parts[-1] - 1) * (slots - len(parts)):
+            rest += parts.pop()  # a 1, or too little room after it for one more box
+        if not parts:
             return
-        if slots == 0:
-            return
-        for part in range(min(cap, rest), 0, -1):
-            prefix.append(part)
-            yield from rec(rest - part, part, slots - 1, prefix)
-            prefix.pop()
-
-    yield from rec(total, max_part, max_len, [])
+        parts[-1] -= 1
+        rest += 1
 
 
 def partitions_up_to(total: int, max_len: int | None = None):
@@ -185,32 +186,30 @@ def partitions_up_to(total: int, max_len: int | None = None):
         yield from partitions_of(s, max_len=max_len)
 
 
-def subpartitions(nu):
-    """All partitions contained in the diagram of nu."""
+def subpartitions(nu) -> list[Partition]:
+    """All partitions contained in the diagram of nu, in decreasing
+    lexicographic order: those of nu's bounding box that fit inside nu."""
     nu = normalize(nu)
-
-    def rec(i, cap, prefix):
-        if i == len(nu):
-            yield normalize(prefix)
-            return
-        for part in range(min(cap, nu[i]), -1, -1):
-            prefix.append(part)
-            yield from rec(i + 1, part, prefix)
-            prefix.pop()
-
-    yield from rec(0, nu[0] if nu else 0, [])
+    box = (p for t in range(sum(nu) + 1) for p in partitions_of(t, max(nu, default=0), len(nu)))
+    return sorted((p for p in box if _contains(nu, p)), reverse=True)
 
 
-def restricted_partitions_of(total: int, ctx: FusionContext):
-    """Partitions of ``total`` that are (n, k)-restricted."""
-    for p in partitions_of(total, max_len=ctx.n):
-        if _restricted(p, ctx):
-            yield p
+def restricted_partitions_of(total: int, ctx: FusionContext) -> list[Partition]:
+    """Partitions of ``total`` that are (n, k)-restricted, in decreasing
+    lexicographic order.  Those whose n-th part is m are listed directly, not
+    filtered out of every partition: they are the partitions of total - n*m
+    in the (n - 1) x k box, with m added to each of the n rows."""
+    n, k = ctx
+    lifted = [
+        tuple(p + m for p in q) + (m,) * (n - len(q)) if m else q
+        for m in range(total // n + 1)
+        for q in partitions_of(total - n * m, max_part=k, max_len=n - 1)
+    ]
+    return sorted(lifted, reverse=True)
 
 
 def restricted_supersets(la, extra: int, ctx: FusionContext):
     """Restricted partitions obtained from la by adding ``extra`` boxes,
     in increasing lexicographic order."""
     la = normalize(la)
-    candidates = list(restricted_partitions_of(sum(la) + extra, ctx))
-    return (q for q in reversed(candidates) if _contains(q, la))
+    return (q for q in reversed(restricted_partitions_of(sum(la) + extra, ctx)) if _contains(q, la))

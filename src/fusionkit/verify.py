@@ -307,8 +307,9 @@ def _chain_totals(la, mu, ctx: FusionContext) -> dict[Partition, tuple[int, int]
     plan.  Unrestricted chains keep n rows but may take any span, so the two
     agree exactly when no boundary is obstructed."""
     held = _plan_walk(la, mu, ctx, signed=False)  # among the unrestricted chains
-    # no shape on a chain spans more than |la| + |mu|, so this level bounds nothing
-    every = _plan_walk(la, mu, FusionContext(ctx.n, ctx.k + sum(la) + sum(mu)), signed=False)
+    # a restricted la spans at most k, and |mu| boxes widen a span by at most |mu|,
+    # so no shape on a chain spans more than this level, and it bounds nothing
+    every = _plan_walk(la, mu, FusionContext(ctx.n, ctx.k + sum(mu)), signed=False)
     return {s: (held.get(s, 0), count) for s, count in every.items()}
 
 
@@ -378,11 +379,8 @@ def _identity_chunk(args) -> list[CheckResult]:
 def _base_shapes(ctx: FusionContext):
     """Restricted shapes with empty last row: class representatives, since
     adding a full column shifts every object in the identity equally."""
-    out = [()]
-    for total in range(1, (ctx.n - 1) * ctx.k + 1):
-        for la in partitions_of(total, max_part=ctx.k, max_len=ctx.n - 1):
-            out.append(la)
-    return out
+    return [la for total in range((ctx.n - 1) * ctx.k + 1)
+            for la in partitions_of(total, ctx.k, ctx.n - 1)]
 
 
 def path_identity_checks(n_max: int, k_max: int, skew_max: int, jobs: int = 1) -> list[CheckResult]:

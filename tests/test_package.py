@@ -343,15 +343,58 @@ def test_no_unused_imports_or_private_names():
     assert not unread, f"fusionkit exports {unread}, which nothing in src reads"
 
 
+def _tool(name: str):
+    # a script of tools/, which sits outside the package, loaded as a module
+    path = pathlib.Path(__file__).parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_partitions_are_listed_by_one_loop():
+    # partitions_of is the one enumerator of partitions; the other listings read it,
+    # so a function of partitions.py that calls itself or nests a helper would be a
+    # second enumerator (or a recursion that a long row overflows)
+    from fusionkit import partitions, verify
+
+    tree = ast.parse(pathlib.Path(partitions.__file__).read_text())
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        inner = [node for node in ast.walk(fn) if node is not fn]
+        assert not any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) for node in inner
+        ), f"{fn.name} defines a nested function"
+        assert not any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name
+            for node in inner
+        ), f"{fn.name} calls itself"
+    listings = {
+        partitions.subpartitions, partitions.restricted_partitions_of,
+        partitions.restricted_supersets, partitions.partitions_up_to, verify._base_shapes,
+    }
+    enumerators = {"partitions_of", "restricted_partitions_of"}
+
+    def names(code):  # the globals a function reads, its comprehensions included
+        return set(code.co_names).union(*(names(c) for c in code.co_consts if hasattr(c, "co_names")))
+
+    for listing in listings:
+        assert enumerators & names(listing.__code__), listing.__name__
+
+
+def test_certify_digest_ignores_the_wall_time():
+    digest = _tool("certify").digest
+    report = {"checks": [{"name": "c", "checked": 3}], "ok": True, "wall_time_s": 1.5}
+    assert digest(report) == digest(dict(report, wall_time_s=0.25))
+    assert digest(report) == digest({key: v for key, v in report.items() if key != "wall_time_s"})
+    assert digest(report) != digest(dict(report, ok=False))
+
+
 def test_every_mutant_snippet_occurs_once():
     # the mutation catalogue (tools/mutants.py, run outside tier-1) applies each
     # mutant to the one place its snippet names; an edit that moves or repeats a
     # snippet must update the catalogue, or the mutant would test nothing
     root = pathlib.Path(__file__).parent.parent
-    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
-    catalogue = mutants.MUTANTS
+    catalogue = _tool("mutants").MUTANTS
     assert len(catalogue) >= 10 and len({m.id for m in catalogue}) == len(catalogue)
     for m in catalogue:
         assert m.file.startswith("src/fusionkit/") and m.snippet != m.replacement, m.id

@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fusionkit import partitions
 from fusionkit.partitions import (
     FusionContext,
     _contains,
@@ -14,9 +17,13 @@ from fusionkit.partitions import (
     is_restricted,
     normalize,
     parse_partition,
+    partitions_of,
     partitions_up_to,
     quotient,
     rank_level_dual,
+    restricted_partitions_of,
+    restricted_supersets,
+    subpartitions,
 )
 
 
@@ -177,3 +184,83 @@ def test_perm_sign():
     assert _perm_sign((1, 2, 3)) == 1
     assert _perm_sign((2, 1, 3)) == -1
     assert _perm_sign((3, 1, 2)) == 1
+
+
+@lru_cache(maxsize=None)
+def _every_partition(total):
+    """The set of partitions of ``total``: a last part added to each partition
+    of what is left, then sorted into place."""
+    if total == 0:
+        return frozenset({()})
+    return frozenset(
+        tuple(sorted(p + (last,), reverse=True))
+        for last in range(1, total + 1)
+        for p in _every_partition(total - last)
+    )
+
+
+def _decreasing(shapes):
+    return sorted(shapes, reverse=True)
+
+
+BOUNDS = (None, 0, 1, 2, 3, 6)
+
+
+@pytest.mark.parametrize("max_part", BOUNDS)
+@pytest.mark.parametrize("max_len", BOUNDS)
+def test_partitions_of_equals_the_reference(max_part, max_len):
+    for total in range(-1, 16):
+        expected = _decreasing(
+            p
+            for p in (_every_partition(total) if total >= 0 else ())
+            if (max_part is None or not p or p[0] <= max_part)
+            and (max_len is None or len(p) <= max_len)
+        )
+        assert list(partitions_of(total, max_part, max_len)) == expected, (total, max_part, max_len)
+
+
+def test_subpartitions_equals_the_reference():
+    for nu in partitions_up_to(9):
+        expected = _decreasing(
+            p
+            for t in range(sum(nu) + 1)
+            for p in _every_partition(t)
+            if len(p) <= len(nu) and all(a <= b for a, b in zip(p, nu))
+        )
+        assert list(subpartitions(nu)) == expected, nu
+
+
+def test_restricted_partitions_of_equals_the_filter():
+    # the lift from the (n - 1) x k box lists what filtering every partition lists
+    for n in range(1, 8):
+        for k in range(1, 7):
+            ctx = FusionContext(n, k)
+            for total in range(16):
+                filtered = [p for p in partitions_of(total, max_len=n) if is_restricted(p, ctx)]
+                assert list(restricted_partitions_of(total, ctx)) == filtered, (n, k, total)
+                for la in ((), (1,)):
+                    supersets = [p for p in filtered if _contains(p, la)][::-1]
+                    if total >= sum(la):
+                        assert list(restricted_supersets(la, total - sum(la), ctx)) == supersets
+
+
+def test_restricted_partitions_draw_only_what_they_return(monkeypatch):
+    drawn = []
+    enumerate_partitions = partitions.partitions_of
+
+    def spy(*args, **kwargs):
+        for p in enumerate_partitions(*args, **kwargs):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(partitions, "partitions_of", spy)
+    listed = restricted_partitions_of(30, FusionContext(8, 2))
+    assert len(listed) == 5 and len(drawn) == 5
+    assert sorted(p[-1] for p in listed) == [2, 3, 3, 3, 3]  # 14 and 6 boxes in the 7 x 2 box
+
+
+def test_enumerators_take_a_long_row_or_column():
+    # one loop, no recursion: a thousand parts do not reach the recursion limit
+    assert list(partitions_of(1100, max_part=1)) == [(1,) * 1100]
+    assert restricted_partitions_of(1050, FusionContext(1100, 1)) == [(1,) * 1050]
+    assert list(partitions_of(1000, max_len=1)) == [(1000,)]

@@ -31,7 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", "id file snippet replacement tests equivalent", defaults=(None,))
 
 INV, COEF = "src/fusionkit/involutions.py", "src/fusionkit/coefficients.py"
-WORDS = "src/fusionkit/words.py"
+WORDS, PARTS = "src/fusionkit/words.py", "src/fusionkit/partitions.py"
 PSI_LAWS = "tests/test_involutions.py::test_psi_laws_on_one_random_term"
 PHI_LAWS = "tests/test_involutions.py::test_phi_laws_on_one_random_term"
 D2_IN_FULL = "tests/test_involutions.py::test_in_D2_equals_the_four_conditions_evaluated_in_full"
@@ -265,10 +265,35 @@ MUTANTS = [
         " restricted, so no term reaches it",
     ),
     Mutant(
-        "chain-totals-wide-level-without-la", "src/fusionkit/verify.py",
-        "ctx.k + sum(la) + sum(mu)", "ctx.k + sum(mu)",
-        ["tests/test_verify.py", "tests/test_acceptance.py::test_criterion_03_fusion_involution"],
-        "a restricted la spans at most k, and |mu| boxes widen a span by at most |mu|",
+        "partitions-of-ignores-max-part-on-the-first-row", PARTS,
+        "parts[-1] if parts else cap", "parts[-1] if parts else total",
+        ["tests/test_partitions.py::test_partitions_of_equals_the_reference"],
+    ),
+    Mutant(
+        "partitions-of-room-test-strict", PARTS,
+        "rest >= (parts[-1] - 1) * (slots - len(parts))",
+        "rest > (parts[-1] - 1) * (slots - len(parts))",
+        ["tests/test_partitions.py::test_partitions_of_equals_the_reference"],
+    ),
+    Mutant(
+        "subpartitions-drops-its-sort", PARTS,
+        "sorted((p for p in box if _contains(nu, p)), reverse=True)",
+        "[p for p in box if _contains(nu, p)]",
+        ["tests/test_partitions.py::test_subpartitions_equals_the_reference"],
+    ),
+    Mutant(
+        "lift-pads-n-minus-one-rows", PARTS, "(m,) * (n - len(q))", "(m,) * (n - 1 - len(q))",
+        ["tests/test_partitions.py::test_restricted_partitions_of_equals_the_filter"],
+    ),
+    Mutant(
+        "lift-skips-the-top-layer", PARTS,
+        "for m in range(total // n + 1)", "for m in range(total // n)",
+        ["tests/test_partitions.py::test_restricted_partitions_of_equals_the_filter"],
+    ),
+    Mutant(
+        "base-shapes-miss-the-full-box", "src/fusionkit/verify.py",
+        "range((ctx.n - 1) * ctx.k + 1)", "range((ctx.n - 1) * ctx.k)",
+        ["tests/test_cli.py::test_verify_smoke_all"],
     ),
 ]
 
