@@ -30,7 +30,7 @@ normalized input that the caller has already checked.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from types import MappingProxyType
 
 from .involutions import SignedTerm, in_D2
@@ -368,16 +368,21 @@ def fusion_kac_walton(la, mu, ctx: FusionContext) -> dict[Partition, int]:
     return {nu: value for nu, value in row.items() if value}
 
 
-def _tableaux(mu, n: int, above=()):
-    """The rows of each semistandard tableau of shape mu with entries 1..n,
-    concatenated; columns strictly increase down from ``above``."""
-    if not mu:
-        yield ()
-        return
-    for row in combinations_with_replacement(range(1, n + 1), mu[0]):
-        if all(a < b for a, b in zip(above, row)):
-            for rest in _tableaux(mu[1:], n, row):
-                yield row + rest
+def _tableaux(mu, n: int):
+    """The rows of each semistandard tableau of shape mu with entries 1..n, concatenated,
+    in lexicographic order: one walk over the cells, depth first on a stack."""
+    height = _conjugate(mu)
+    cells = [(i, j) for i, part in enumerate(mu) for j in range(part)]
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == len(cells):
+            yield prefix
+            continue
+        i, j = cells[len(prefix)]  # at least the entry on its left, more than the one above,
+        low = max(prefix[-1] if j else 1, prefix[-mu[i - 1]] + 1 if i else 1)
+        top = n - (height[j] - i - 1)  # at most n less the cells under it: each prefix completes
+        stack.extend(prefix + (entry,) for entry in range(top, low - 1, -1))  # least popped first
 
 
 def _sort_signed(x):

@@ -1,19 +1,21 @@
-"""Partitions, restriction predicates, the rank-level duality, permutation signs.
+"""Partitions, restriction predicates, listings, the rank-level duality, permutation signs.
 
 Partitions are plain tuples of weakly decreasing nonnegative integers.
 Trailing zeros carry no meaning, so ``(2, 1)`` and ``(2, 1, 0)`` denote the
 same partition.  The validation rule, for the whole package: the public
 function a shape enters through validates it once and normalizes the zeros
-away; from there it goes only to private helpers (here ``_contains``,
-``_conjugate``, ``_restricted``, ``_format_partition``), which take it as it
-is, never back through a public function that would validate it again.
+away; from there it goes only to private helpers (``_contains``, ``_conjugate``,
+``_restricted``, ``_format_partition``) or to ``partitions_of``'s bound, which
+take it as it is, never back through a public function that validates it again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from operator import le, lt
+from itertools import accumulate
+from operator import le, lt, neg
 
 Partition = tuple[int, ...]
 
@@ -159,39 +161,42 @@ def _perm_sign(sigma: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def partitions_of(total: int, max_part: int | None = None, max_len: int | None = None):
-    """Yield all partitions of ``total`` (optionally bounding part size / length)
-    in decreasing lexicographic order.  One loop: fill each row with the largest
-    part that fits, then shrink the last part that leaves room for the rest."""
-    cap = total if max_part is None else max_part
-    slots = total if max_len is None else max_len
-    parts, rest = [], total
+def partitions_of(total: int, within: Partition | None = None):
+    """Yield the partitions of ``total`` inside the partition ``within``, taken as it
+    is (None bounds nothing), in decreasing lexicographic order.  One loop: fill each
+    row with the largest part that fits, then shrink the last part that leaves room."""
+    caps = (total,) * total if within is None else within  # a negative total gets no rows
+    slots, low = len(caps), caps[-1] if caps else 0
+    below = [*accumulate(caps[::-1], initial=0)] if caps and caps[0] > low else (0,)
+    parts, rest, top = [], total, total
     while True:
         while rest > 0 and len(parts) < slots:
-            parts.append(min(rest, parts[-1] if parts else cap))
-            rest -= parts[-1]
+            parts.append(top := min(rest, top, caps[len(parts)]))
+            rest -= top
         if rest:
             return  # only the first fill can fail: every shrink below leaves room
         yield tuple(parts)
-        while parts and rest >= (parts[-1] - 1) * (slots - len(parts)):
+        while parts:  # shrunk to v, the last part leaves v to each row below but the last r,
+            v = parts[-1] - 1  # whose caps, below v, hold below[r]; a constant cap is never below v
+            if rest < (v * (slots - len(parts)) if low >= v else v * (slots - len(parts) - (
+                    r := slots - bisect_right(caps, -v, key=neg))) + below[r]):
+                break
             rest += parts.pop()  # a 1, or too little room after it for one more box
-        if not parts:
+        else:
             return
-        parts[-1] -= 1
+        top = parts[-1] = parts[-1] - 1
         rest += 1
 
 
-def partitions_up_to(total: int, max_len: int | None = None):
+def partitions_up_to(total: int, within: Partition | None = None):
     for s in range(total + 1):
-        yield from partitions_of(s, max_len=max_len)
+        yield from partitions_of(s, within)
 
 
 def subpartitions(nu) -> list[Partition]:
-    """All partitions contained in the diagram of nu, in decreasing
-    lexicographic order: those of nu's bounding box that fit inside nu."""
+    """The partitions inside the diagram of nu, in decreasing lexicographic order."""
     nu = normalize(nu)
-    box = (p for t in range(sum(nu) + 1) for p in partitions_of(t, max(nu, default=0), len(nu)))
-    return sorted((p for p in box if _contains(nu, p)), reverse=True)
+    return sorted((p for t in range(sum(nu) + 1) for p in partitions_of(t, nu)), reverse=True)
 
 
 def restricted_partitions_of(total: int, ctx: FusionContext) -> list[Partition]:
@@ -201,9 +206,9 @@ def restricted_partitions_of(total: int, ctx: FusionContext) -> list[Partition]:
     in the (n - 1) x k box, with m added to each of the n rows."""
     n, k = ctx
     lifted = [
-        tuple(p + m for p in q) + (m,) * (n - len(q)) if m else q
+        tuple([p + m for p in q]) + (m,) * (n - len(q)) if m else q
         for m in range(total // n + 1)
-        for q in partitions_of(total - n * m, max_part=k, max_len=n - 1)
+        for q in partitions_of(total - n * m, (k,) * (n - 1))
     ]
     return sorted(lifted, reverse=True)
 

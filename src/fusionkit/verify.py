@@ -193,10 +193,9 @@ def classical_lr_checks(size_max: int) -> list[CheckResult]:
     for nu in partitions_up_to(size_max):
         if not nu:
             continue
-        subs = list(subpartitions(nu))
-        for la in subs:
+        for la in subpartitions(nu):
             # by LR symmetry a nonzero coefficient has mu inside nu, so this misses none
-            for mu in sorted(m for m in subs if sum(la) + sum(m) == sum(nu)):
+            for mu in partitions_of(sum(nu) - sum(la), nu):
                 a, b = _lr_paths(la, mu, nu), _lr_lattice(la, mu, nu)
                 if a or b:
                     agree.record(a == b, **_info(la, mu, nu), paths=a, lattice=b)
@@ -380,7 +379,7 @@ def _base_shapes(ctx: FusionContext):
     """Restricted shapes with empty last row: class representatives, since
     adding a full column shifts every object in the identity equally."""
     return [la for total in range((ctx.n - 1) * ctx.k + 1)
-            for la in partitions_of(total, ctx.k, ctx.n - 1)]
+            for la in partitions_of(total, (ctx.k,) * (ctx.n - 1))]
 
 
 def path_identity_checks(n_max: int, k_max: int, skew_max: int, jobs: int = 1) -> list[CheckResult]:

@@ -131,7 +131,7 @@ def test_criterion_09_positivity(fusion_sweep):
         for k in (1, 2, 3):
             ctx = FusionContext(n, k)
             for mu in [(1,), (2,), (1, 1), (2, 1), (2, 2)]:
-                for nu in partitions_up_to(6, max_len=n):
+                for nu in partitions_up_to(6, (6,) * n):
                     for la in subpartitions(nu):
                         value = fusion_oracle(la, mu, nu, ctx)
                         assert value >= 0

@@ -91,13 +91,13 @@ def test_explain_lists_as_many_paths_as_the_rule_counts(capsys):
     for n in range(2, 5):
         for k in range(1, 4):
             ctx = FusionContext(n, k)
-            for nu in partitions_up_to(8, max_len=n):
+            for nu in partitions_up_to(8, (8,) * n):
                 if not is_restricted(nu, ctx):
                     continue
                 for la in subpartitions(nu):
                     if not is_restricted(la, ctx):
                         continue
-                    for mu in partitions_of(sum(nu) - sum(la), max_part=2, max_len=n):
+                    for mu in partitions_of(sum(nu) - sum(la), (2,) * n):
                         if not mu or not is_restricted(mu, ctx):
                             continue
                         cli._explain(la, mu, nu, ctx)

@@ -171,7 +171,7 @@ def test_plan_sigmas_are_the_filtered_permutations():
     # permutations whose composition lies in 0..cap, by sigma^-1 in order;
     # there are none exactly when mu has more than cap rows
     for total in range(19):
-        for mu_conj in partitions_of(total, max_part=3, max_len=6):
+        for mu_conj in partitions_of(total, (3,) * 6):
             every = sorted(
                 permutations(range(1, len(mu_conj) + 1)),
                 key=lambda sigma: [sigma.index(i) for i in range(1, len(sigma) + 1)],
@@ -367,7 +367,7 @@ def test_restricted_standard_counts():
 
 def test_standard_count_matches_restricted_at_big_level():
     big = FusionContext(6, 12)
-    for la in partitions_up_to(6, max_len=5):
+    for la in partitions_up_to(6, (6,) * 5):
         assert count_paths((), la, big) == count_paths((), la)
 
 

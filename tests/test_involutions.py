@@ -457,11 +457,11 @@ def test_phi_splice_equals_a_full_rebuild():
     for n in range(2, 5):
         for k in range(1, 4):
             ctx = FusionContext(n, k)
-            for nu in partitions_up_to(8, max_len=n):
+            for nu in partitions_up_to(8, (8,) * n):
                 if not is_restricted(nu, ctx):
                     continue
                 for la in subpartitions(nu):
-                    for mu in partitions_of(sum(nu) - sum(la), max_part=2):
+                    for mu in partitions_of(sum(nu) - sum(la), (2,) * sum(nu)):
                         if mu[:1] != (2,) or len(mu) == n or not is_restricted(la, ctx):
                             continue
                         for term in omega_terms(la, mu, nu, ctx):
@@ -596,7 +596,7 @@ def test_in_D2_equals_the_four_conditions_evaluated_in_full(monkeypatch):
     for n in range(2, 5):
         for k in range(1, 4):
             ctx = FusionContext(n, k)
-            for nu in partitions_up_to(8, max_len=n):
+            for nu in partitions_up_to(8, (8,) * n):
                 if not is_restricted(nu, ctx):
                     continue
                 for la in subpartitions(nu):
@@ -668,7 +668,7 @@ def test_bot_letters_pair_when_both_blocks_touch_first_row():
     # whenever both blocks add a first-row box, neither of those letters
     # can be unpaired
     checked = 0
-    for nu in partitions_up_to(7, max_len=4):
+    for nu in partitions_up_to(7, (7,) * 4):
         for la in subpartitions(nu):
             rest = sum(nu) - sum(la)
             for a in range(1, rest):

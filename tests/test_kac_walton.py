@@ -9,13 +9,19 @@ nothing of the package but the validation of the shapes it is handed.
 import ast
 import inspect
 import math
+from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import coefficients
 from fusionkit.coefficients import fusion_expand, fusion_kac_walton, fusion_rule, fusion_tableaux
-from fusionkit.partitions import FusionContext, restricted_partitions_of, restricted_supersets
+from fusionkit.partitions import (
+    FusionContext,
+    partitions_up_to,
+    restricted_partitions_of,
+    restricted_supersets,
+)
 
 
 @st.composite
@@ -114,6 +120,35 @@ def test_rows_commute(inputs):
     row = _walk_from(la, mu, ctx)
     assert row == _walk_from(mu, la, ctx)
     assert fusion_expand(la, mu, ctx) == fusion_expand(mu, la, ctx) == row
+
+
+def test_tableaux_are_the_fillings_with_increasing_columns():
+    # every row filling, in lexicographic order, kept when its columns strictly increase
+    for n in range(1, 6):
+        for mu in partitions_up_to(6):
+            rows = product(*(combinations_with_replacement(range(1, n + 1), part) for part in mu))
+            expected = [
+                sum(filling, ())
+                for filling in rows
+                if all(a < b for upper, lower in zip(filling, filling[1:]) for a, b in zip(upper, lower))
+            ]
+            assert list(coefficients._tableaux(mu, n)) == expected, (n, mu)
+
+
+def test_a_column_tries_few_entries(monkeypatch):
+    # every entry the walk tries lies in a tableau, so a column of m boxes with
+    # entries 1..m + 1, which has m + 1 tableaux, tries at most m (m + 1) entries
+    m, tried = 20, []
+
+    def counted(*bounds):
+        for entry in range(*bounds):
+            tried.append(entry)
+            assert len(tried) <= m * (m + 1), "the walk tries entries that no tableau has"
+            yield entry
+
+    monkeypatch.setattr(coefficients, "range", counted, raising=False)
+    assert len(list(coefficients._tableaux((1,) * m, m + 1))) == m + 1
+    assert len(tried) <= m * (m + 1)
 
 
 def test_reference_walks_no_plan_path_or_strip():

@@ -6,6 +6,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -352,10 +353,25 @@ def _tool(name: str):
     return module
 
 
+def test_no_function_calls_itself():
+    # every walk of the package keeps its state in a loop or on a stack, so its depth
+    # is not bounded by the recursion limit: a thousand-part row or a tall column answers
+    package = pathlib.Path(fusionkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            calls = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            callees = {call.id for call in calls if isinstance(call, ast.Name)} | {
+                call.attr  # a method, through its instance or class
+                for call in calls
+                if isinstance(call, ast.Attribute) and ast.unparse(call.value) in ("self", "cls")
+            }
+            assert fn.name not in callees, f"{path.stem}.{fn.name} calls itself"
+
+
 def test_partitions_are_listed_by_one_loop():
     # partitions_of is the one enumerator of partitions; the other listings read it,
-    # so a function of partitions.py that calls itself or nests a helper would be a
-    # second enumerator (or a recursion that a long row overflows)
+    # so a function of partitions.py that nests a helper would be a second enumerator
     from fusionkit import partitions, verify
 
     tree = ast.parse(pathlib.Path(partitions.__file__).read_text())
@@ -364,10 +380,6 @@ def test_partitions_are_listed_by_one_loop():
         assert not any(
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) for node in inner
         ), f"{fn.name} defines a nested function"
-        assert not any(
-            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name
-            for node in inner
-        ), f"{fn.name} calls itself"
     listings = {
         partitions.subpartitions, partitions.restricted_partitions_of,
         partitions.restricted_supersets, partitions.partitions_up_to, verify._base_shapes,
@@ -387,6 +399,23 @@ def test_certify_digest_ignores_the_wall_time():
     assert digest(report) == digest(dict(report, wall_time_s=0.25))
     assert digest(report) == digest({key: v for key, v in report.items() if key != "wall_time_s"})
     assert digest(report) != digest(dict(report, ok=False))
+
+
+def test_every_cliff_fits_its_budget_at_its_smallest_size():
+    # the cliff catalogue (tools/cliffs.py, run outside tier-1, where each probe
+    # gets a child process and a timeout) names a public function per entry and
+    # gates on counts; here its smallest sizes run in-process
+    cliffs = _tool("cliffs")
+    assert len({c.id for c in cliffs.CLIFFS}) == len(cliffs.CLIFFS) >= 3
+    started = time.perf_counter()
+    for cliff in cliffs.CLIFFS:
+        module, _, name = cliff.target.rpartition(".")
+        assert callable(getattr(importlib.import_module(module), name)), cliff.target
+        m = min(cliff.sizes)
+        drawn, returned = cliff.probe(m)
+        assert returned and drawn <= cliff.budget(m, returned), (cliff.id, m, drawn, returned)
+    assert time.perf_counter() - started <= 0.5
+    assert "range" not in vars(importlib.import_module("fusionkit.coefficients"))  # put back
 
 
 def test_every_mutant_snippet_occurs_once():

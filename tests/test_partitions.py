@@ -1,4 +1,5 @@
 from functools import lru_cache
+from operator import le
 
 import pytest
 from hypothesis import given
@@ -150,7 +151,7 @@ def test_quotient():
 
 def test_quotient_ignores_full_columns():
     ctx = FusionContext(3, 4)
-    for p in partitions_up_to(8, max_len=3):
+    for p in partitions_up_to(8, (8,) * 3):
         if not is_restricted(p, ctx):
             continue
         shifted = tuple(x + 1 for x in p) + (1,) * (3 - len(p))
@@ -172,7 +173,7 @@ def test_rank_level_dual_involution_exhaustive():
     for n in range(1, 5):
         for k in range(1, 5):
             ctx = FusionContext(n, k)
-            for p in partitions_up_to(n * k, max_len=n):
+            for p in partitions_up_to(n * k, (n * k,) * n):
                 if not is_restricted(p, ctx):
                     continue
                 image = rank_level_dual(p, ctx)
@@ -209,6 +210,8 @@ BOUNDS = (None, 0, 1, 2, 3, 6)
 @pytest.mark.parametrize("max_part", BOUNDS)
 @pytest.mark.parametrize("max_len", BOUNDS)
 def test_partitions_of_equals_the_reference(max_part, max_len):
+    # the bounds make the box of max_len rows of max_part; a bound of None leaves
+    # that side as long as the total, and two leave partitions_of unbounded
     for total in range(-1, 16):
         expected = _decreasing(
             p
@@ -216,18 +219,23 @@ def test_partitions_of_equals_the_reference(max_part, max_len):
             if (max_part is None or not p or p[0] <= max_part)
             and (max_len is None or len(p) <= max_len)
         )
-        assert list(partitions_of(total, max_part, max_len)) == expected, (total, max_part, max_len)
+        box = (total if max_part is None else max_part,) * (total if max_len is None else max_len)
+        within = None if max_part is None and max_len is None else box
+        assert list(partitions_of(total, within)) == expected, (total, max_part, max_len)
 
 
 def test_subpartitions_equals_the_reference():
-    for nu in partitions_up_to(9):
-        expected = _decreasing(
-            p
+    # partitions_of lists each size inside nu in order; subpartitions sorts the sizes
+    # together.  From |nu| = 10, as at (5, 4, 1), a row below a shrunk part can have a
+    # cap below the part's new value: the room test must read the caps there
+    for nu in partitions_up_to(10):
+        inside = [
+            [p for p in _every_partition(t) if len(p) <= len(nu) and all(map(le, p, nu))]
             for t in range(sum(nu) + 1)
-            for p in _every_partition(t)
-            if len(p) <= len(nu) and all(a <= b for a, b in zip(p, nu))
-        )
-        assert list(subpartitions(nu)) == expected, nu
+        ]
+        for t, expected in enumerate(inside):
+            assert list(partitions_of(t, nu)) == _decreasing(expected), (t, nu)
+        assert list(subpartitions(nu)) == _decreasing(sum(inside, [])), nu
 
 
 def test_restricted_partitions_of_equals_the_filter():
@@ -236,7 +244,7 @@ def test_restricted_partitions_of_equals_the_filter():
         for k in range(1, 7):
             ctx = FusionContext(n, k)
             for total in range(16):
-                filtered = [p for p in partitions_of(total, max_len=n) if is_restricted(p, ctx)]
+                filtered = [p for p in partitions_of(total, (total,) * n) if is_restricted(p, ctx)]
                 assert list(restricted_partitions_of(total, ctx)) == filtered, (n, k, total)
                 for la in ((), (1,)):
                     supersets = [p for p in filtered if _contains(p, la)][::-1]
@@ -259,8 +267,25 @@ def test_restricted_partitions_draw_only_what_they_return(monkeypatch):
     assert sorted(p[-1] for p in listed) == [2, 3, 3, 3, 3]  # 14 and 6 boxes in the 7 x 2 box
 
 
+def test_subpartitions_draw_only_what_they_return(monkeypatch):
+    # nu's rows cap each row of partitions_of, so a hook draws no shape of its
+    # bounding box that sticks out of it
+    drawn = []
+    enumerate_partitions = partitions.partitions_of
+
+    def spy(*args, **kwargs):
+        for p in enumerate_partitions(*args, **kwargs):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(partitions, "partitions_of", spy)
+    listed = subpartitions((12,) + (1,) * 12)
+    assert len(listed) == len(drawn) == 157
+    assert sorted(drawn, reverse=True) == listed
+
+
 def test_enumerators_take_a_long_row_or_column():
     # one loop, no recursion: a thousand parts do not reach the recursion limit
-    assert list(partitions_of(1100, max_part=1)) == [(1,) * 1100]
+    assert list(partitions_of(1100, (1,) * 1100)) == [(1,) * 1100]
     assert restricted_partitions_of(1050, FusionContext(1100, 1)) == [(1,) * 1050]
-    assert list(partitions_of(1000, max_len=1)) == [(1000,)]
+    assert list(partitions_of(1000, (1000,))) == [(1000,)]

@@ -113,7 +113,7 @@ def test_tableau_determines_path():
 
 def test_first_row_label_is_block_maximum():
     ctx = FusionContext(3, 3)
-    for nu in partitions_up_to(5, max_len=3):
+    for nu in partitions_up_to(5, (5,) * 3):
         for la in subpartitions(nu):
             r = sum(nu) - sum(la)
             if r == 0:

@@ -265,20 +265,24 @@ MUTANTS = [
         " restricted, so no term reaches it",
     ),
     Mutant(
-        "partitions-of-ignores-max-part-on-the-first-row", PARTS,
-        "parts[-1] if parts else cap", "parts[-1] if parts else total",
+        "partitions-of-ignores-the-first-row-cap", PARTS,
+        "min(rest, top, caps[len(parts)])", "min(rest, top, caps[len(parts)] if parts else rest)",
         ["tests/test_partitions.py::test_partitions_of_equals_the_reference"],
     ),
     Mutant(
         "partitions-of-room-test-strict", PARTS,
-        "rest >= (parts[-1] - 1) * (slots - len(parts))",
-        "rest > (parts[-1] - 1) * (slots - len(parts))",
+        "if rest < (v * (slots - len(parts))", "if rest <= (v * (slots - len(parts))",
         ["tests/test_partitions.py::test_partitions_of_equals_the_reference"],
     ),
     Mutant(
+        "partitions-of-room-test-reads-a-constant-cap", PARTS,
+        "if low >= v else", "if True else",
+        ["tests/test_partitions.py::test_subpartitions_equals_the_reference"],
+    ),
+    Mutant(
         "subpartitions-drops-its-sort", PARTS,
-        "sorted((p for p in box if _contains(nu, p)), reverse=True)",
-        "[p for p in box if _contains(nu, p)]",
+        "sorted((p for t in range(sum(nu) + 1) for p in partitions_of(t, nu)), reverse=True)",
+        "[p for t in range(sum(nu) + 1) for p in partitions_of(t, nu)]",
         ["tests/test_partitions.py::test_subpartitions_equals_the_reference"],
     ),
     Mutant(
@@ -289,6 +293,11 @@ MUTANTS = [
         "lift-skips-the-top-layer", PARTS,
         "for m in range(total // n + 1)", "for m in range(total // n)",
         ["tests/test_partitions.py::test_restricted_partitions_of_equals_the_filter"],
+    ),
+    Mutant(
+        "tableau-column-bound-without-its-minus-one", COEF,
+        "n - (height[j] - i - 1)", "n - (height[j] - i)",
+        ["tests/test_kac_walton.py::test_tableaux_are_the_fillings_with_increasing_columns"],
     ),
     Mutant(
         "base-shapes-miss-the-full-box", "src/fusionkit/verify.py",
