@@ -4,16 +4,14 @@
 paths.  At level k it breaks down on one exceptional family of two-block
 paths (domain D1) where the raising move would push the intermediate
 shape past the level bound; ``phi1`` and its inverse ``phi2`` repair
-exactly that family, and ``phi`` dispatches between the two.  The D1 and
-D2 tests first run the checks that the steps and the target decide on
-their own; a path that passes them is read once, as its pair word with
-the box of each letter, and the phi1 or phi2 move is worked out as the
-test decides.  Off both domains phi takes psi's move instead.  psi finds
-its pair on the path's own steps, with no tableau, and cuts it out as a
-two-block path.  Every move reads such a pair's word and boxes in one merge,
-flips its letters at once (psi's e^d or f^d flips d unpaired letters, which
-keeps every pair), and re-cuts the boxes along the image word in one splice,
-psi's once per (start, pair) key.
+exactly that family, and off D1 and D2 ``phi`` is ``psi``, whose images
+need no boundary guard (see ``phi``).  psi finds its pair on the path's own
+steps, with no tableau, and cuts it out as a two-block path.  Every move
+reads such a pair's word and boxes in one merge, flips its letters at once
+(psi's e^d or f^d flips d unpaired letters, which keeps every pair), and
+re-cuts the boxes along the image word in one splice, psi's once per
+(start, pair) key.  ``psi`` and ``phi`` check a term where it enters; their
+private cores, which the sweeps call, trust it.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .partitions import FusionContext, _conjugate, _perm_sign, _restricted, is_edge, normalize
-from .paths import Box, LatticePath, PathTableau, _trusted_path, _walk
-from .words import BracketWord, _fits, flip_positions, lower_f, raise_e, render, word_of
+from .paths import Box, LatticePath, PathTableau, _trusted_path, _walk, boundary_shapes
+from .words import BracketWord, flip_positions, lower_f, pair_word, raise_e, render
 
 
 _TRACE = os.environ.get("FUSIONKIT_TRACE") == "1"
@@ -81,16 +79,27 @@ def _violation(sizes, labels, mu) -> int | None:
 
 def psi(term: SignedTerm, mu) -> SignedTerm:
     """Classical sign-reversing involution; fixed points are fitting paths."""
-    return _psi(term, normalize(mu))
+    return _psi(term, _checked(term, mu))
+
+
+def _checked(term: SignedTerm, mu):
+    """``mu`` normalized, once the term's ascents are found to be sigma . mu'
+    (block sigma_j holds mu'_j - j + sigma_j steps); else ``ValueError``."""
+    mu = normalize(mu)
+    sigma, mu_conj, ascents = tuple(term.sigma), _conjugate(mu), tuple(term.path.ascents)
+    blocks = sorted(zip(sigma, (c - j + s for j, (s, c) in enumerate(zip(sigma, mu_conj), 1))))
+    if sorted(sigma) != list(range(1, len(mu_conj) + 1)) or ascents != tuple(b for _, b in blocks):
+        raise ValueError(f"ascents {ascents} are not sigma . mu' for {sigma} and {mu_conj}")
+    return mu
 
 
 def _psi(term: SignedTerm, mu) -> SignedTerm:
-    """``psi`` for a normalized ``mu``."""
+    """``psi`` for a checked term and a normalized ``mu``.  Block i less i runs
+    over the distinct mu'_j - j, falling for the identity sigma alone: so a
+    fixed term has that sigma, and no block is one box longer than the last."""
     path = term.path
     r = _violation(path.ascents, [col - row for row, col in path.steps], mu)
     if r is None:
-        if tuple(term.sigma) != tuple(range(1, len(term.sigma) + 1)):
-            raise RuntimeError("column-strict arrangement with a non-identity permutation")
         return term
     lo = sum(path.ascents[: r - 1])
     hi = lo + path.ascents[r - 1] + path.ascents[r]
@@ -108,31 +117,30 @@ def _psi(term: SignedTerm, mu) -> SignedTerm:
 def _pair_move(start, steps, size: int) -> tuple:
     """(word, image, steps, sizes): psi's move of the block pair that adds
     ``steps`` to ``start``, the first block ``size`` steps long.  The re-cut's
-    strip test reads the row above each box, so the key holds ``start``; at
-    total size 7 the classical sweep moves 11,726 terms through 446 keys.  A
-    bad pair raises every time: ``lru_cache`` keeps no exception."""
+    strip test reads the row above each box, so the key holds ``start``.  The
+    classical sweep at size 7 moves 11,726 terms through 446 keys, the level
+    sweep at (5, 4, 10) 5,152 through 1,704 (3,256 misses, serial).  A bad
+    pair raises every time: ``lru_cache`` keeps no exception."""
     pair = _trusted_path(start, steps, (size, len(steps) - size))
-    w, image, _, boxes = _psi_move(pair)
+    w, image, boxes = _psi_move(pair)
     moved, _ = _splice(pair, image, boxes)
     return w, image, moved.steps, moved.ascents
 
 
 def _psi_move(pair: LatticePath) -> tuple:
-    """(word, image, None, boxes): the word of a two-block path raised or
+    """(word, image, boxes): the word of a two-block path raised or
     lowered until the two blocks trade sizes, and the box of each letter.
 
     Flipping an unpaired letter leaves every pair intact, so e^d flips the
     d rightmost unpaired ')' and f^d the d leftmost unpaired '(' at once.
     """
-    d = pair.ascents[1] - pair.ascents[0] - 1
-    if d == 0:
-        raise RuntimeError("adjacent blocks differ by exactly one box at a violation")
+    d = pair.ascents[1] - pair.ascents[0] - 1  # never 0 for a checked term (see _psi)
     w, boxes = _read(pair)
     side = 2 if d > 0 else 1
     free = [i for i, p in enumerate(w.partner) if p is None and w.letters[i][1] == side]
     if len(free) < abs(d):  # too few: the operator names the missing letter
         (raise_e if d > 0 else lower_f)(flip_positions(w, free))
-    return w, flip_positions(w, free[-d:] if d > 0 else free[:-d]), None, boxes
+    return w, flip_positions(w, free[-d:] if d > 0 else free[:-d]), boxes
 
 
 def _splice(pair: LatticePath, image: BracketWord, boxes) -> tuple[LatticePath, tuple]:
@@ -168,13 +176,11 @@ def _shape_at(path: LatticePath, lo: int) -> tuple:
 def _read(pair: LatticePath) -> tuple[BracketWord, list[Box]]:
     """The word of a two-block path and the box of each letter, in word order.
 
-    ``word_of`` merges the labels and rejects a block that does not strictly
+    ``pair_word`` merges the labels and rejects a block that does not strictly
     decrease.  A block's letters rise as its steps are read backwards, so a
     walk back from each block's end meets its boxes in word order.
     """
-    p, steps = pair.ascents[0], pair.steps
-    labels = [col - row for row, col in steps]
-    w = word_of(labels[:p], labels[p:])
+    w, p, steps = pair_word(pair, 1), pair.ascents[0], pair.steps
     rising = (reversed(steps[:p]), reversed(steps[p:]))
     return w, [next(rising[blk - 1]) for _, blk in w.letters]
 
@@ -183,7 +189,10 @@ def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
     """(word, phi1 image, kept position, boxes) for a path in D1, else None.
 
     The word is read only after the checks that the steps and the target
-    decide on their own.
+    decide on their own.  Its test implies the step test ``1 in rows[:p]``,
+    an early exit: if blocks 1 and 2 add (1, c) and (1, c + 1), c - 1 is
+    block 1's top label, so its '(' pairs with the ')' after it, and the word
+    test reads that letter, the first-row letter of least label.
     """
     if len(path.ascents) != 2 or path.ascents[0] >= path.ascents[1]:
         return None
@@ -199,9 +208,8 @@ def _d1_move(path: LatticePath, ctx: FusionContext) -> tuple | None:
     if w.partner[next(i for i, box in enumerate(boxes) if box[0] == 1)] is not None:
         return None
     kept = next(i for i, box in enumerate(boxes) if box[1] == nu[0] and w.partner[i] is None)
+    # the unpaired first-row ')' tops block 1's labels, so every '(' pairs
     flips = [i for i in w.unpaired() if i != kept]
-    if any(w.letters[i][1] != 2 for i in flips):
-        raise RuntimeError("unpaired first-block letter in the exceptional domain")
     return w, flip_positions(w, flips), kept, boxes
 
 
@@ -226,8 +234,9 @@ def phi1(path: LatticePath, ctx: FusionContext) -> LatticePath:
 
 
 def _apply(name: str, path: LatticePath, move, ctx: FusionContext) -> LatticePath:
-    """The two-block path re-cut along the image word of a psi, phi1 or
-    phi2 move; every boundary stays restricted."""
+    """The two-block path re-cut along a phi1 or phi2 move's image word, its
+    boundaries guarded.  The input's are restricted: a D1 or D2 path ends at an
+    edge nu, and no earlier boundary lacks more of nu's row-n boxes than row-1."""
     if move is None:
         raise ValueError(f"{name} applied outside its domain")
     w, image, mark, boxes = move
@@ -299,25 +308,26 @@ def phi2(path: LatticePath, ctx: FusionContext) -> LatticePath:
 def phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
     """Level-k involution on two-block signed terms.
 
-    Dispatch: the exceptional domains D1 and D2 trade places through phi1
-    and phi2; everything else either follows the classical move or is a
-    fixed point (a fitting path outside D2).  The ascents must be mu' or,
-    when the first block is the shorter, (mu'_2 - 1, mu'_1 + 1).
+    D1 and D2 trade places through phi1 and phi2; everywhere else phi is psi,
+    which fixes a fitting path outside D2.  The ascents must be sigma . mu'
+    and every block boundary restricted.  psi's images are not checked: the
+    level sweep's square law fails one that is not a restricted term, and so
+    does the phi property's boundary assertion.
     """
-    path = term.path
-    if len(path.ascents) != 2:
+    if len(term.path.ascents) != 2:
         raise ValueError("the level-k involution acts on two-block terms")
-    mu_conj = _conjugate(normalize(mu))
-    a, b = path.ascents
-    if len(mu_conj) != 2 or (a, b) != (mu_conj if a >= b else (mu_conj[1] - 1, mu_conj[0] + 1)):
-        raise ValueError(f"ascents {path.ascents} do not fit column lengths {mu_conj}")
-    if a < b:
-        name, move = "phi1", _d1_move(path, ctx)
-    else:
-        name, move = "phi2", _d2_move(path, ctx)
-        if move is None and _fits(path, mu_conj):
-            return term
+    mu = _checked(term, mu)
+    shapes = boundary_shapes(term.path)
+    if not all(_restricted(shape, ctx) for shape in shapes):
+        raise ValueError(f"a block boundary of {shapes} is not restricted at {ctx}")
+    return _phi(term, ctx, mu)
+
+
+def _phi(term: SignedTerm, ctx: FusionContext, mu) -> SignedTerm:
+    """``phi`` for a checked term and a normalized ``mu``."""
+    path = term.path
+    name, domain = ("phi1", _d1_move) if path.ascents[0] < path.ascents[1] else ("phi2", _d2_move)
+    move = domain(path, ctx)
     if move is None:
-        name, move = "psi", _psi_move(path)
-    swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)
-    return SignedTerm(swap, _apply(name, path, move, ctx))
+        return _psi(term, mu)
+    return SignedTerm(tuple(term.sigma)[::-1], _apply(name, path, move, ctx))

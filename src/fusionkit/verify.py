@@ -31,7 +31,7 @@ from .coefficients import (
     gepner_witten,
     omega_terms,
 )
-from .involutions import _psi, in_D1, in_D2, phi, phi1, phi2
+from .involutions import _phi, _psi, in_D1, in_D2, phi1, phi2
 from .partitions import (
     FusionContext,
     Partition,
@@ -286,7 +286,7 @@ def _fusion_chunk(args) -> list[CheckResult]:
             if mu[0] != 2 or len(mu) == ctx.n:
                 continue  # the involution acts on genuinely two-column shapes below n rows
             terms = list(omega_terms(la, mu, nu, ctx))
-            fixed = _involution_laws(terms, lambda t: phi(t, ctx, mu), involution, sign_flip, info)
+            fixed = _involution_laws(terms, lambda t: _phi(t, ctx, mu), involution, sign_flip, info)
             for term in terms:
                 path = term.path
                 if in_D1(path, ctx):

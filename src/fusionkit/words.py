@@ -116,13 +116,9 @@ def fits(path: LatticePath, mu) -> bool:
 
     Operationally: every adjacent block pair's word has no unpaired right
     parenthesis.  The path's ascent composition must equal the column
-    lengths of mu.
+    lengths of mu.  The classical sweep certifies psi's fixed points against it.
     """
-    return _fits(path, conjugate(mu))
-
-
-def _fits(path: LatticePath, mu_conj) -> bool:
-    """``fits`` given the column lengths ``mu_conj`` of mu."""
+    mu_conj = conjugate(mu)
     if tuple(path.ascents) != mu_conj:
         raise ValueError(f"ascents {path.ascents} do not match column lengths {mu_conj}")
     return all(word_type(pair_word(path, i))[1] == 0 for i in range(1, len(path.ascents)))

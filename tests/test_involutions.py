@@ -200,12 +200,12 @@ def test_psi_swaps_r_and_r_plus_one_and_each_sign_counts_inversions():
 
 
 def test_psi_rejects_balanced_gap():
-    # adjacent block sizes never differ by exactly one at a violation in a
-    # genuine signed term; feeding such a pair is an internal-contract error
-    bad = path_from_label_blocks((), [(0,), (1, -1)])
-    for _ in range(2):  # the pair memo keeps no exception, so it raises again
-        with pytest.raises(RuntimeError):
-            psi(SignedTerm((1, 2), bad), (2, 1))
+    # in a genuine signed term no block is exactly one box longer than the one
+    # before it; psi rejects such a term where it enters, so its move, which
+    # trusts its input, has no guard against it
+    bad = SignedTerm((1, 2), path_from_label_blocks((), [(0,), (1, -1)]))
+    with pytest.raises(ValueError, match="not sigma . mu'"):
+        psi(bad, (2, 1))
 
 
 def test_a_bad_recut_is_an_internal_fault():
@@ -233,7 +233,7 @@ def _psi_by_pair(term, r):
     # flip and re-cut it, and put it back between the untouched blocks
     path = term.path
     pair = _block_pair(path, r)
-    _, image, _, boxes = _psi_move(pair)
+    _, image, boxes = _psi_move(pair)
     moved, _ = _splice(pair, image, boxes)
     lo = sum(path.ascents[: r - 1])
     steps = path.steps[:lo] + moved.steps + path.steps[lo + len(moved.steps) :]
@@ -310,12 +310,12 @@ def test_psi_laws_on_one_random_term(drawn):
 @st.composite
 def level_terms(draw):
     """(term, ctx, mu): one signed term of omega_terms(la, mu, nu, ctx), for the
-    nu it reaches, at n <= 6 and 2 <= k <= 5.  mu has two columns and fewer
+    nu it reaches, at n <= 10 and 2 <= k <= 5.  mu has two columns and fewer
     than n rows; la has n parts in 0..k, each raised by the same 0..2, so it
     is restricted; sigma comes from the plan, then one vertical strip per
     block, drawn among the choices whose shape is restricted; a block with
     no such choice rejects the draw."""
-    n, k = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    n, k = draw(st.integers(2, 10)), draw(st.integers(2, 5))
     ctx = FusionContext(n, k)
     twos = draw(st.integers(1, n - 1))
     mu = (2,) * twos + (1,) * draw(st.integers(0, n - 1 - twos))
@@ -634,6 +634,34 @@ def test_phi_checks_mu_on_every_branch():
         for wrong in [(1, 1, 1), (3, 1), (2, 2), (2, 2, 1)]:
             with pytest.raises(ValueError):
                 phi(term, ctx, wrong)
+
+
+def test_malformed_terms_are_rejected_where_they_enter():
+    # psi and phi check that a term's ascents are sigma . mu', and phi that every
+    # block boundary is restricted, before any move: a malformed term is no fixed
+    # point and reaches no internal guard.  The grid: every term of a two-column
+    # mu of at most two rows, to a nu of at most three rows and 5 boxes, with a
+    # boundary outside level 1 at n = 3; phi1 and phi2 reject these paths too
+    fitting = SignedTerm((1, 2), path_from_label_blocks((1,), [(-1,), (1,)]))
+    ctx = FusionContext(3, 3)
+    assert psi(fitting, (2,)) == phi(fitting, ctx, (2,)) == fitting
+    for involution in (lambda t: psi(t, (2,)), lambda t: phi(t, ctx, (2,))):
+        with pytest.raises(ValueError, match="not sigma . mu'"):
+            involution(fitting._replace(sigma=(2, 1)))
+    ctx, unrestricted = FusionContext(3, 1), 0
+    for nu in partitions_up_to(5, (5,) * 3):
+        for la in subpartitions(nu):
+            for mu in partitions_of(sum(nu) - sum(la), (2, 2)):
+                for term in omega_terms(la, mu, nu) if mu[:1] == (2,) else ():
+                    if all(is_restricted(shape, ctx) for shape in boundary_shapes(term.path)):
+                        continue
+                    with pytest.raises(ValueError, match="not restricted"):
+                        phi(term, ctx, mu)
+                    for move in (phi1, phi2):
+                        with pytest.raises(ValueError):
+                            move(term.path, ctx)
+                    unrestricted += 1
+    assert unrestricted == 52
 
 
 def test_signed_term_sign_is_read_from_sigma_and_not_compared():

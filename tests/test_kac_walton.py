@@ -84,6 +84,32 @@ def test_rows_grow_with_the_level(inputs):
         assert value <= higher.get(nu, 0), nu
 
 
+@st.composite
+def tall_inputs(draw):
+    """(la, mu, ctx) at 7 <= n <= 10 and 2 <= k <= 6: mu = 2^a 1^b with a >= 1
+    and a + b <= n, of n rows half the time, and a restricted la, |la| <= 6."""
+    ctx = FusionContext(draw(st.integers(7, 10)), draw(st.integers(2, 6)))
+    twos = draw(st.integers(1, ctx.n))
+    ones = ctx.n - twos if draw(st.booleans()) else draw(st.integers(0, ctx.n - twos))
+    la = draw(st.sampled_from([p for s in range(7) for p in restricted_partitions_of(s, ctx)]))
+    return la, (2,) * twos + (1,) * ones, ctx
+
+
+@settings(max_examples=20, deadline=None)
+@given(tall_inputs())
+def test_fast_routes_equal_kac_walton_on_tall_two_column_shapes(inputs):
+    # the paper's subject, a two-column mu of up to n rows, past the sweeps'
+    # n <= 5: both fast routes give the Kac-Walton row on every restricted nu
+    # of the right size, zero or not, and the row does not fall at level k + 1
+    la, mu, ctx = inputs
+    row = fusion_kac_walton(la, mu, ctx)
+    for nu in restricted_supersets(la, sum(mu), ctx):
+        expected = row.get(nu, 0)
+        assert fusion_rule(la, mu, nu, ctx) == fusion_tableaux(la, mu, nu, ctx) == expected, nu
+    higher = fusion_expand(la, mu, FusionContext(ctx.n, ctx.k + 1))
+    assert all(value <= higher.get(nu, 0) for nu, value in row.items())
+
+
 def _qdim(p, ctx):
     # prod over i < j <= n of sin(pi (p_i - p_j + j - i) / (n + k)) / sin(pi (j - i) / (n + k))
     n, parts = ctx.n, p + (0,) * (ctx.n - len(p))

@@ -331,14 +331,14 @@ def test_no_unused_imports_or_private_names():
     assert {c for _, c, _ in fields} >= {
         "FusionContext", "LatticePath", "PathTableau", "BracketWord", "SignedTerm"
     }
-    # entry points for callers that src itself has no use for; the sweep applies
-    # the classical involution through its private core, which builds no tableau,
-    # and the tests walk every path of a composition and its block boundaries
-    # (enumerate_paths, boundary_shapes) as references for strip_chains
+    # entry points for callers that src itself has no use for; the sweeps apply
+    # both involutions through their private cores, which trust the terms they
+    # build (the classical one builds no tableau), and the tests walk every path
+    # of a composition (enumerate_paths) as a reference for strip_chains
     kept = {
         "count_paths", "is_border", "quotient", "path_from_label_blocks",
-        "verify_restricted_path_identity", "psi", "canonical_violation", "path_to_tableau",
-        "enumerate_paths", "boundary_shapes",
+        "verify_restricted_path_identity", "psi", "phi", "canonical_violation",
+        "path_to_tableau", "enumerate_paths",
     }
     unread = sorted(exported - referenced - kept)
     assert not unread, f"fusionkit exports {unread}, which nothing in src reads"

@@ -52,7 +52,7 @@ def _passed(checks) -> dict:
 def test_the_image_table_cannot_hide_a_broken_involution(monkeypatch):
     # each sweep applies its involution once per term and reads the image of an
     # image from a table; a wrong image for one sigma must still break the law
-    psi, phi = verify._psi, verify.phi
+    psi, phi = verify._psi, verify._phi
     assert _passed(classical_involution_checks(5))["psi_squared_identity"]
     assert _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
 
@@ -65,7 +65,7 @@ def test_the_image_table_cannot_hide_a_broken_involution(monkeypatch):
         return term if term.sigma == (2, 1) else phi(term, ctx, mu)
 
     monkeypatch.setattr(verify, "_psi", psi_keeps_one_sigma)
-    monkeypatch.setattr(verify, "phi", phi_fixes_one_sigma)
+    monkeypatch.setattr(verify, "_phi", phi_fixes_one_sigma)
     assert not _passed(classical_involution_checks(5))["psi_squared_identity"]
     assert not _passed(fusion_involution_checks(3, 2, 6))["phi_squared_identity"]
 

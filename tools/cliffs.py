@@ -15,9 +15,11 @@ one JSON object: per probe, the counts, the seconds and the status.  The gate
 reads the counts, not the time: a count is the same on every machine, where
 timings on a loaded two-core box vary by 30%.  An entry whose function is the
 enumerator itself has no count of its own; it gates on the answer, and on the
-timeout.  The exit status is 0 when every probe is within its budget.
-Standard library only; ``tests/test_package.py`` runs the smallest size of
-each entry in tier-1, in-process.
+timeout.  So do the rows and columns of up to 1,000 boxes, which have one path
+each: a walk that recursed once per box would fail them.  The exit status is 0
+when every probe is within its budget.  Standard library only;
+``tests/test_package.py`` runs the smallest size of each entry in tier-1,
+in-process.
 """
 
 from __future__ import annotations
@@ -87,6 +89,16 @@ def _column_partitions(m: int) -> tuple[int, int]:
     return len(listed), int(listed == [(1,) * m])
 
 
+def _lone_path(route: str, shapes, level=None) -> tuple[int, int]:
+    """The count ``fusionkit.coefficients.<route>`` gives for ``shapes`` (at
+    ``FusionContext(*level)``, if given), and 1 when it is the one path."""
+    from fusionkit import coefficients
+    from fusionkit.partitions import FusionContext
+
+    count = getattr(coefficients, route)(*shapes, *([FusionContext(*level)] if level else []))
+    return count, int(count == 1)
+
+
 CLIFFS = [
     Cliff(
         "subpartitions-hooks", "fusionkit.partitions.subpartitions", "(m,) + (1,) * m",
@@ -102,6 +114,22 @@ CLIFFS = [
     Cliff(
         "partitions-of-a-column", "fusionkit.partitions.partitions_of", "m, (1,) * m",
         (1000, 10000, 100000), _column_partitions, lambda m, returned: returned,
+    ),
+    Cliff(
+        "lr-paths-of-a-row", "fusionkit.coefficients.lr_paths", "(), (m,), (m,)",
+        (10, 100, 1000), lambda m: _lone_path("lr_paths", ((), (m,), (m,))),
+        lambda m, returned: returned,
+    ),
+    Cliff(
+        "lr-paths-of-a-column", "fusionkit.coefficients.lr_paths", "(), (1,) * m, (1,) * m",
+        (10, 100, 1000), lambda m: _lone_path("lr_paths", ((), (1,) * m, (1,) * m)),
+        lambda m, returned: returned,
+    ),
+    Cliff(
+        "fusion-rule-of-a-column", "fusionkit.coefficients.fusion_rule",
+        "(), (1,) * m, (1,) * m, FusionContext(m, 1)",
+        (10, 100, 1000), lambda m: _lone_path("fusion_rule", ((), (1,) * m, (1,) * m), (m, 1)),
+        lambda m, returned: returned,
     ),
 ]
 

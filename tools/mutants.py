@@ -36,6 +36,8 @@ PSI_LAWS = "tests/test_involutions.py::test_psi_laws_on_one_random_term"
 PHI_LAWS = "tests/test_involutions.py::test_phi_laws_on_one_random_term"
 D2_IN_FULL = "tests/test_involutions.py::test_in_D2_equals_the_four_conditions_evaluated_in_full"
 PSI_SIGMA = "r + 1 if v == r else r if v == r + 1 else v for v in term.sigma"
+MALFORMED = "tests/test_involutions.py::test_malformed_terms_are_rejected_where_they_enter"
+TALL = "tests/test_kac_walton.py::test_fast_routes_equal_kac_walton_on_tall_two_column_shapes"
 
 MUTANTS = [
     Mutant(
@@ -99,8 +101,23 @@ MUTANTS = [
         [D2_IN_FULL, PHI_LAWS],
     ),
     Mutant(
+        "phi-psi-branch-returns-the-term", INV,
+        "if move is None:\n        return _psi(term, mu)", "if move is None:\n        return term",
+        [PHI_LAWS],
+    ),
+    Mutant(
+        "phi-skips-the-boundary-check", INV,
+        "if not all(_restricted(shape, ctx) for shape in shapes):", "if False:",
+        [MALFORMED],
+    ),
+    Mutant(
+        "terms-skip-the-ascents-check", INV,
+        "or ascents != tuple(b for _, b in blocks):", ":",
+        [MALFORMED],
+    ),
+    Mutant(
         "phi-keeps-sigma", INV,
-        "swap = (2, 1) if tuple(term.sigma) == (1, 2) else (1, 2)", "swap = tuple(term.sigma)",
+        "SignedTerm(tuple(term.sigma)[::-1],", "SignedTerm(tuple(term.sigma),",
         [PHI_LAWS],
     ),
     Mutant(
@@ -246,23 +263,25 @@ MUTANTS = [
     Mutant(
         "rule-corrects-n-row-mu", COEF,
         "len(mu_conj) == 2 and len(mu) < ctx.n", "len(mu_conj) == 2 and len(mu) <= ctx.n",
-        ["tests/test_coefficients.py", "tests/test_acceptance.py"],
+        ["tests/test_coefficients.py", "tests/test_acceptance.py", TALL],
         "no fitting path of a two-column mu with n rows was found in D2 (3,125 paths with"
-        " n <= 6, k <= 5, |nu| <= 13); unproven",
+        " n <= 6, k <= 5, |nu| <= 13, and the tall property's n <= 10 over 4,000 draws);"
+        " unproven",
     ),
     Mutant(
         "d1-first-block-may-hold-the-first-row-step", INV,
         "if 1 in rows[:p] or ctx.n in rows[:p] or", "if ctx.n in rows[:p] or",
         [PHI_LAWS, "tests/test_involutions.py::test_phi_splice_equals_a_full_rebuild"],
-        "a first-block box (1, c) has that block's largest label and block 2's (1, c + 1)"
-        " follows it with only ')' between, so its '(' pairs and the first-row letter exit fires",
+        "the word test implies the step test, which only exits early: proved in _d1_move's"
+        " docstring (block 1's (1, c) is its last letter, and a ')' follows it at once)",
     ),
     Mutant(
         "apply-without-the-restricted-check", INV,
         "if not _restricted(shape, ctx):", "if not (_restricted(shape, ctx) or True):",
         [PHI_LAWS, "tests/test_involutions.py::test_phi_splice_equals_a_full_rebuild"],
-        "a guard on an internal fault: phi's moves keep every boundary of a restricted term"
-        " restricted, so no term reaches it",
+        "guards phi1 and phi2 on input their domain tests have checked (a member of D1 or D2"
+        " has restricted boundaries, proved in _apply's docstring); its image lies in the"
+        " other domain, which the sweeps certify, so no path reaches it",
     ),
     Mutant(
         "partitions-of-ignores-the-first-row-cap", PARTS,
