@@ -82,11 +82,11 @@ def _cmd_fusion(args) -> int:
 
 def _explain(la, mu, nu, ctx) -> None:
     """List the paths ``fusion_rule`` counts, each with its bracket word where
-    the level excludes D2: mu of two columns and fewer than n rows."""
+    the level excludes D2: mu of two columns."""
     if mu and mu[0] > 2:
         print("# explanation available only for shapes with at most two columns")
         return
-    worded = mu[:1] == (2,) and len(mu) < ctx.n
+    worded = mu[:1] == (2,)
     for path in _rule_paths(la, mu, nu, ctx):
         word = f"  word {render(pair_word(path, 1))}" if worded else ""
         print(f"# labels {path.labels()}{word}")

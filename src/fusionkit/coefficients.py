@@ -17,7 +17,7 @@ The classical ``lr_paths`` and ``lr_lattice`` each count one pruned walk
 of ``strip_chains``, whose adjacent strips pair as brackets or read as a
 lattice word; each fast route the sum certifies is one of those walks
 plus the level correction (``fusion_rule``: restricted, less D2;
-``fusion_tableaux``: the level wrap, less five exclusions).
+``fusion_tableaux``: less four exclusions).
 
 Public functions validate their arguments once, by the rule in
 ``fusionkit.partitions``, the two fast routes through one guard
@@ -144,10 +144,20 @@ def _fusion_rule(la, mu, nu, ctx: FusionContext) -> int:
 def _rule_paths(la, mu, nu, ctx: FusionContext):
     """The paths ``fusion_rule`` counts, for normalized restricted shapes:
     ``_lr_paths``'s walk kept restricted, less the paths in D2 when mu has
-    two columns and fewer than n rows.  Else each path counts: one column has
-    no pair, and after a full column of n boxes the level excludes nothing."""
+    two columns (one column has no pair).
+
+    For mu with n rows none is in D2.  Block 1 adds (r, la_r + 1), label
+    la_r + 1 - r, to each row r, so a member's one row-1 and row-n steps
+    are block 1's, nu_1 = la_1 + 1, and the last column holds block 1's
+    boxes in rows 1..j and block 2's in rows j + 1..h, where la_r = la_1 - 1.
+    No other letter has a label from la_1 - h to la_1 - j, and these read,
+    in label order, row h's '(', then row r's '(' and row r + 1's ')' (a tie)
+    for r from h - 1 to j + 1, then row j + 1's ')', the kept letter.  It
+    pairs with row h's '(', left of the column's bottom box: ``_d2_move``
+    exits there.
+    """
     mu_conj = _conjugate(mu)
-    level_corrected = len(mu_conj) == 2 and len(mu) < ctx.n
+    level_corrected = len(mu_conj) == 2
     for chain in strip_chains(la, nu, mu_conj, ctx, pair_ok=_pair_balanced):
         path = _trusted_path(la, sum(chain, ()), mu_conj)
         if not (level_corrected and in_D2(path, ctx)):
@@ -159,75 +169,52 @@ def fusion_oracle(la, mu, nu, ctx: FusionContext) -> int:
     return fusion_expand(la, mu, ctx).get(normalize(nu), 0)
 
 
-def _wrap_ok(entry, la, nu, ctx: FusionContext) -> bool:
-    """Level wrap for restricted fillings: row n weakly below row 1 shifted k."""
-    n, k = ctx.n, ctx.k
-    la_full = la + (0,) * (n - len(la))
-    nu_full = nu + (0,) * (n - len(nu))
-    for j in range(la_full[n - 1] + 1, nu_full[n - 1] + 1):
-        upper = (n, j)
-        lower = (1, j + k)
-        if la_full[0] < j + k <= nu_full[0] and entry[upper] > entry[lower]:
-            return False
-    return True
-
-
 def fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
     """Level-k coefficient recounted on skew fillings, for mu with at most
     two columns: the row-strict fillings of nu/la with content mu' whose
-    column reading word is lattice and which keep the level wrap, less the
-    fillings that five structural tests exclude."""
+    column reading word is lattice, less the fillings that four structural
+    tests exclude."""
     return _fast_route(_fusion_tableaux, la, mu, nu, ctx)
 
 
 def _fusion_tableaux(la, mu, nu, ctx: FusionContext) -> int:
     """``fusion_tableaux`` of normalized restricted shapes: the fillings of
-    ``_lr_lattice``'s walk that keep the level wrap and pass no exclusion."""
+    ``_lr_lattice``'s walk that pass no exclusion.
+
+    A level wrap, that no row-n box holds more than the row-1 box k columns
+    to its right, would decide nothing.  A 1 in row 1 is at (1, la_1 + 1), so
+    a 2 at (n, la_1 + 1 - k) lies in nu/la only when la_1 - la_n = k, at
+    (n, la_n + 1): it would open the reading word, which is lattice.
+    """
     entries = (
         {box: i for i, strip in enumerate(strips, start=1) for box in strip}
         for strips in strip_chains(la, nu, _conjugate(mu), pair_ok=_pair_lattice)
     )
-    return sum(
-        1
-        for entry in entries
-        if _wrap_ok(entry, la, nu, ctx) and not _excluded_filling(entry, nu, ctx)
-    )
+    return sum(1 for entry in entries if not _excluded_filling(entry, nu, ctx))
 
 
 def _excluded_filling(entry, nu, ctx: FusionContext) -> bool:
-    """The five tests singling out lattice fillings that must not count."""
-    n = ctx.n
-    # edge target
-    if _span(nu, ctx) != ctx.k:
+    """The four tests singling out lattice fillings that must not count: nu
+    is an edge, row n has one box, some 2 in the last column has no 1 on its
+    left, and the reading word's 1's lead strictly except at its last 2.
+
+    Three more would decide nothing.  Row n's one box opens the reading word,
+    so it holds 1.  With no 2 in the last column, ``ones_under`` is 0, not
+    fewer than the 2's.  With no row-1 box, an edge nu with one row-n box needs
+    la_1 - la_n = k + 1, which a restricted la lacks; with two, each 2 of the
+    last column has a 1 on its left.
+    """
+    if _span(nu, ctx) != ctx.k or sum(row == ctx.n for row, _ in entry) != 1:
         return False
-    # one box in the first row; one box, filled 1, in row n
-    row1 = [b for b in entry if b[0] == 1]
-    rown = [b for b in entry if b[0] == n]
-    if len(row1) != 1 or len(rown) != 1 or entry[rown[0]] != 1:
-        return False
-    # the last column holds 2's
     last = nu[0]
     two_rows = {b[0] for b in entry if b[1] == last and entry[b] == 2}
-    if not two_rows:
-        return False
-    # 1's in the penultimate column alongside those 2's: strictly fewer
-    ones_under = sum(
-        1 for b in entry if b[1] == last - 1 and b[0] in two_rows and entry[b] == 1
-    )
+    ones_under = sum(entry.get((row, last - 1)) == 1 for row in two_rows)
     if ones_under >= len(two_rows):
         return False
-    # strict dominance except possibly at the final 2
     word = [entry[b] for b in _reading_order(entry)]
-    last2 = max((i for i, v in enumerate(word) if v == 2), default=None)
-    c1 = c2 = 0
-    for i, v in enumerate(word):
-        if v == 1:
-            c1 += 1
-        else:
-            c2 += 1
-        if c1 <= c2 and i != last2:
-            return False
-    return True
+    last2 = max(i for i, v in enumerate(word) if v == 2)
+    lead = accumulate(1 if v == 1 else -1 for v in word)  # 1's less 2's in each prefix
+    return all(d > 0 or i == last2 for i, d in enumerate(lead))
 
 
 def fusion_expand(la, mu, ctx: FusionContext) -> dict[tuple[int, ...], int]:

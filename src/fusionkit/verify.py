@@ -232,8 +232,9 @@ def _classical_involution_chunk(args) -> list[CheckResult]:
 
 
 def classical_involution_checks(size_max: int, jobs: int = 1) -> list[CheckResult]:
-    """Involution laws and the signed sum over every triple with |nu| <= size_max."""
-    work = [(nu,) for nu in partitions_up_to(size_max) if nu]
+    """Involution laws and the signed sum over every triple with |nu| <= size_max.
+    nu = () stays a work item, with no triple, so its checks are listed at every size."""
+    work = [(nu,) for nu in partitions_up_to(size_max)]
     return _run_chunks(_classical_involution_chunk, work, jobs)
 
 

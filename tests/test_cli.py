@@ -323,6 +323,19 @@ def test_verify_smoke_all(capsys):
     assert [(c["name"], c["checked"]) for c in report["checks"]] == SMOKE_COUNTS
 
 
+def test_verify_lists_every_check_at_size_zero(capsys):
+    # nu = () stays a work item of the classical psi sweep, as an (n, k) with no mu
+    # stays one of the level sweeps, so a report lists its checks at every size bound
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--n-max", "2", "--k-max", "1",
+        "--size-max", "0", "--jobs", "1",
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [name for name, _ in SMOKE_COUNTS]
+    assert all(c["checked"] == 0 for c in checks if c["name"].startswith("psi_"))
+
+
 def test_verify_jobs_zero_counts_usable_cpus(capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert cli._usable_cpus() == 3

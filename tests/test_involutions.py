@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from fusionkit import involutions
 
-from fusionkit.coefficients import _plan_sigmas, _rule_paths, fusion_oracle, lr_paths, omega_terms
+from fusionkit.coefficients import (
+    _pair_balanced,
+    _plan_sigmas,
+    _rule_paths,
+    fusion_oracle,
+    lr_paths,
+    omega_terms,
+)
 from fusionkit.involutions import (
     SignedTerm,
     _d2_move,
@@ -31,17 +38,21 @@ from fusionkit.partitions import (
     normalize,
     partitions_of,
     partitions_up_to,
+    restricted_partitions_of,
+    restricted_supersets,
     subpartitions,
 )
 from fusionkit.paths import (
     LatticePath,
     PathTableau,
+    _trusted_path,
     _walk,
     add_box,
     boundary_shapes,
     enumerate_paths,
     path_from_label_blocks,
     path_to_tableau,
+    strip_chains,
     vertical_strips,
 )
 from fusionkit.verify import classical_involution_checks
@@ -679,6 +690,32 @@ def test_signed_term_sign_is_read_from_sigma_and_not_compared():
 def test_in_D2_rejects_an_empty_second_block():
     with pytest.raises(ValueError):
         in_D2(path_from_label_blocks((), [(0, -1), ()]), CTX32)
+
+
+def test_no_balanced_path_of_an_n_row_two_column_mu_is_in_D2():
+    # _rule_paths subtracts D2 for every two-column mu; its docstring proves that a
+    # mu with n rows loses nothing, at the left-neighbour exit of _d2_move, which
+    # the paths counted in `reach` get to: an edge nu, one row-1 and one row-n
+    # step, and a block-2 box in the last column
+    paths = reach = 0
+    for n in range(2, 7):
+        for k in range(1, 5):
+            ctx = FusionContext(n, k)
+            for a in range(1, n + 1):
+                mu_conj = (n, a)  # mu = 2^a 1^(n - a)
+                for size in range(6):
+                    for la in restricted_partitions_of(size, ctx):
+                        for nu in restricted_supersets(la, n + a, ctx):
+                            for chain in strip_chains(la, nu, mu_conj, ctx, pair_ok=_pair_balanced):
+                                path = _trusted_path(la, sum(chain, ()), mu_conj)
+                                assert not in_D2(path, ctx), (la, mu_conj, nu, ctx)
+                                rows = [row for row, _ in path.steps]
+                                paths += 1
+                                reach += (
+                                    is_edge(nu, ctx) and rows.count(1) == rows.count(n) == 1
+                                    and any(col == nu[0] for _, col in path.steps[n:])
+                                )
+    assert (paths, reach) == (1788, 70)
 
 
 def test_phi_fixed_points_are_k_fusion():

@@ -16,8 +16,11 @@ reads the counts, not the time: a count is the same on every machine, where
 timings on a loaded two-core box vary by 30%.  An entry whose function is the
 enumerator itself has no count of its own; it gates on the answer, and on the
 timeout.  So do the rows and columns of up to 1,000 boxes, which have one path
-each: a walk that recursed once per box would fail them.  The exit status is 0
-when every probe is within its budget.  Standard library only;
+each (a walk that recursed once per box would fail them), and the level-m
+coefficients of a row of m boxes, on which the signed sum once walked
+Fibonacci-many permutations, recursing once per column.  The one CLI entry,
+``fusionkit table``, gates on the partitions it draws against the rows it
+prints.  The exit status is 0 when every probe is within its budget.  Standard library only;
 ``tests/test_package.py`` runs the smallest size of each entry in tier-1,
 in-process.
 """
@@ -99,6 +102,30 @@ def _lone_path(route: str, shapes, level=None) -> tuple[int, int]:
     return count, int(count == 1)
 
 
+def _row_of_a_row(m: int) -> tuple[int, int]:
+    """Entries of ``fusion_expand((), (m,))`` at n = 2 and level m, and 1 when it is {(m,): 1}."""
+    from fusionkit.coefficients import fusion_expand
+    from fusionkit.partitions import FusionContext
+
+    row = fusion_expand((), (m,), FusionContext(2, m))
+    return len(row), int(row == {(m,): 1})
+
+
+def _wide_table(m: int) -> tuple[int, int]:
+    """Shapes ``partitions_of`` yields to ``fusionkit table --n m --k 1 --mu 1
+    --max-size 4m``, and the rows of its table."""
+    import contextlib
+    import io
+
+    from fusionkit import cli, partitions
+
+    out = io.StringIO()
+    argv = ["table", "--n", str(m), "--k", "1", "--mu", "1", "--max-size", str(4 * m)]
+    with _counting(partitions, "partitions_of") as drawn, contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return drawn[0], len(json.loads(out.getvalue())["rows"]) if code == 0 else 0
+
+
 CLIFFS = [
     Cliff(
         "subpartitions-hooks", "fusionkit.partitions.subpartitions", "(m,) + (1,) * m",
@@ -130,6 +157,23 @@ CLIFFS = [
         "(), (1,) * m, (1,) * m, FusionContext(m, 1)",
         (10, 100, 1000), lambda m: _lone_path("fusion_rule", ((), (1,) * m, (1,) * m), (m, 1)),
         lambda m, returned: returned,
+    ),
+    Cliff(
+        "fusion-expand-of-a-row", "fusionkit.coefficients.fusion_expand",
+        "(), (m,), FusionContext(2, m)", (10, 100, 1000), _row_of_a_row,
+        lambda m, returned: returned,
+    ),
+    Cliff(
+        "fusion-oracle-of-a-row", "fusionkit.coefficients.fusion_oracle",
+        "(), (m,), (m,), FusionContext(3, m)",
+        (10, 100, 1000), lambda m: _lone_path("fusion_oracle", ((), (m,), (m,)), (3, m)),
+        lambda m, returned: returned,
+    ),
+    # one restricted la of each size up to 4m, each with one nu: a table that lists
+    # partitions beyond the la it keeps draws more than it prints
+    Cliff(
+        "wide-table", "fusionkit.cli.main", "table --n m --k 1 --mu 1 --max-size 4m",
+        (16, 100, 400), _wide_table, lambda m, returned: returned,
     ),
 ]
 

@@ -37,7 +37,6 @@ PHI_LAWS = "tests/test_involutions.py::test_phi_laws_on_one_random_term"
 D2_IN_FULL = "tests/test_involutions.py::test_in_D2_equals_the_four_conditions_evaluated_in_full"
 PSI_SIGMA = "r + 1 if v == r else r if v == r + 1 else v for v in term.sigma"
 MALFORMED = "tests/test_involutions.py::test_malformed_terms_are_rejected_where_they_enter"
-TALL = "tests/test_kac_walton.py::test_fast_routes_equal_kac_walton_on_tall_two_column_shapes"
 
 MUTANTS = [
     Mutant(
@@ -234,12 +233,18 @@ MUTANTS = [
     ),
     Mutant(
         "exclusion-dominance-at-the-final-2", COEF,
-        "if c1 <= c2 and i != last2:", "if c1 <= c2:",
+        "d > 0 or i == last2", "d > 0",
         ["tests/test_kac_walton.py::test_fast_routes_equal_kac_walton"],
     ),
     Mutant(
-        "wrap-strict", COEF, "entry[upper] > entry[lower]", "entry[upper] >= entry[lower]",
-        ["tests/test_coefficients.py::test_fusion_at_su3_level_two"],
+        "exclusion-without-the-edge-test", COEF,
+        "if _span(nu, ctx) != ctx.k or sum(", "if sum(",
+        ["tests/test_kac_walton.py::test_fast_routes_equal_kac_walton"],
+    ),
+    Mutant(
+        "exclusion-without-the-row-n-count", COEF,
+        " or sum(row == ctx.n for row, _ in entry) != 1:", ":",
+        ["tests/test_kac_walton.py::test_fast_routes_equal_kac_walton"],
     ),
     Mutant(
         "kac-walton-counts-a-point-on-the-wall", COEF,
@@ -259,14 +264,6 @@ MUTANTS = [
     Mutant(
         "cli-imports-json", "src/fusionkit/cli.py", "import io\n", "import io\nimport json\n",
         ["tests/test_package.py::test_importing_cli_and_verify_loads_no_costly_module"],
-    ),
-    Mutant(
-        "rule-corrects-n-row-mu", COEF,
-        "len(mu_conj) == 2 and len(mu) < ctx.n", "len(mu_conj) == 2 and len(mu) <= ctx.n",
-        ["tests/test_coefficients.py", "tests/test_acceptance.py", TALL],
-        "no fitting path of a two-column mu with n rows was found in D2 (3,125 paths with"
-        " n <= 6, k <= 5, |nu| <= 13, and the tall property's n <= 10 over 4,000 draws);"
-        " unproven",
     ),
     Mutant(
         "d1-first-block-may-hold-the-first-row-step", INV,
@@ -322,6 +319,12 @@ MUTANTS = [
         "base-shapes-miss-the-full-box", "src/fusionkit/verify.py",
         "range((ctx.n - 1) * ctx.k + 1)", "range((ctx.n - 1) * ctx.k)",
         ["tests/test_cli.py::test_verify_smoke_all"],
+    ),
+    Mutant(
+        "classical-sweep-drops-the-empty-nu", "src/fusionkit/verify.py",
+        "work = [(nu,) for nu in partitions_up_to(size_max)]",
+        "work = [(nu,) for nu in partitions_up_to(size_max) if nu]",
+        ["tests/test_cli.py::test_verify_lists_every_check_at_size_zero"],
     ),
 ]
 
